@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import as_matrix
 from .errors import DimensionMismatch
-from .spectral import CLUSTER_TOL, ComplexPair, EigenStructure, eigen_structure
+from .spectral import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue,
+                       eigen_structure)
 
 #: Relative half-width of the |alpha| = |beta| boundary band.
 BORDERLINE_TOL = 1e-9
@@ -50,9 +51,12 @@ class Finding:
 
 @dataclass(frozen=True)
 class DDClassification:
+    """Verdict, its evidence, and the eigen-structure it was decided from."""
+
     verdict: Verdict
     evidence: tuple[Finding, ...]
     borderline_pairs: tuple[tuple[float, float], ...]
+    structure: EigenStructure
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,12 @@ def _classify_structure(structure: EigenStructure, tol: float,
     else:
         verdict = Verdict.STRICT_ACHIEVABLE
     return DDClassification(verdict=verdict, evidence=tuple(findings),
-                            borderline_pairs=tuple(borderline))
+                            borderline_pairs=tuple(borderline), structure=structure)
+
+
+def _zero_tol(a, tol: float) -> float:
+    """Half-width of the zero-eigenvalue band: ``tol * (1 + ||a||_F)``."""
+    return tol * (1.0 + float(np.linalg.norm(a)))
 
 
 def classify(a, tol: float = BORDERLINE_TOL,
@@ -156,9 +165,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     :class:`ClusterAmbiguity` from the eigenstructure computation.
     """
     a = as_matrix(a)
-    structure = eigen_structure(a, cluster_tol)
-    zero_tol = tol * (1.0 + float(np.linalg.norm(a)))
-    return _classify_structure(structure, tol, zero_tol)
+    return _classify_structure(eigen_structure(a, cluster_tol), tol, _zero_tol(a, tol))
 
 
 def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
@@ -170,37 +177,21 @@ def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
     a = as_matrix(a)
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
-    zero_tol = tol * (1.0 + float(np.linalg.norm(a)))
     half_trace = (a[0, 0] + a[1, 1]) / 2.0
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     disc = half_trace * half_trace - det
-
     if disc >= 0.0:
         root = math.sqrt(disc)
-        eigs = (half_trace - root, half_trace + root)
-        findings = []
-        singular = False
-        for lam in eigs:
-            if abs(lam) <= zero_tol:
-                singular = True
-                findings.append(Finding(
-                    kind="real", value=(lam,), alg_mult=1, geo_mult=1,
-                    case="real-zero",
-                    condition=f"|{lam:.6g}| <= {zero_tol:.3e}", ok=False))
-            else:
-                findings.append(Finding(
-                    kind="real", value=(lam,), alg_mult=1, geo_mult=1,
-                    case="real-nonzero", condition=f"|{lam:.6g}| > 0", ok=True))
-        verdict = (Verdict.OUT_OF_SCOPE_SINGULAR if singular
-                   else Verdict.STRICT_ACHIEVABLE)
-        return DDClassification(verdict=verdict, evidence=tuple(findings),
-                                borderline_pairs=())
-
-    # a 2x2 complex pair is automatically non-defective
-    pair = ComplexPair(alpha=float(half_trace), beta=math.sqrt(-disc),
-                       alg_mult=1, geo_mult=1)
-    return _classify_structure(
-        EigenStructure(real_eigs=(), complex_pairs=(pair,)), tol, zero_tol)
+        structure = EigenStructure(
+            real_eigs=tuple(RealEigenvalue(value=lam, alg_mult=1, geo_mult=1)
+                            for lam in (half_trace - root, half_trace + root)),
+            complex_pairs=())
+    else:
+        # a 2x2 complex pair is automatically non-defective
+        pair = ComplexPair(alpha=float(half_trace), beta=math.sqrt(-disc),
+                           alg_mult=1, geo_mult=1)
+        structure = EigenStructure(real_eigs=(), complex_pairs=(pair,))
+    return _classify_structure(structure, tol, _zero_tol(a, tol))
 
 
 def params_to_matrix(p: TwoByTwoParams) -> np.ndarray:

@@ -29,7 +29,6 @@ from .io import complex_matrix_doc, dumps, load_matrix, matrix_rows
 from .special import (HURWITZ_TOL, h_matrix_scaling, is_h_matrix, is_hurwitz,
                       is_m_matrix, is_metzler, is_z_matrix,
                       metzler_hurwitz_scaling)
-from .spectral import eigen_structure
 from .svg import render_gershgorin
 
 _NUMERICAL_ERRORS = (ClusterAmbiguity, IllConditionedJordan,
@@ -58,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="decision tolerance (default per subcommand)")
         p.add_argument("--out", help="also write the output document here")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved for randomized verification extensions")
 
     add_common(sub.add_parser("classify", help="trichotomy verdict with evidence"))
 
@@ -115,11 +112,10 @@ def _dominance_doc(report) -> dict:
 def _cmd_classify(a, args):
     tol = BORDERLINE_TOL if args.tol is None else args.tol
     classification = classify(a, tol)
-    structure = eigen_structure(a)
     doc = {
         "verdict": classification.verdict.value,
         "evidence": _evidence_doc(classification),
-        "eigenstructure": _eigenstructure_doc(structure),
+        "eigenstructure": _eigenstructure_doc(classification.structure),
         "borderline_pairs": [{"alpha": p[0], "beta": p[1]}
                              for p in classification.borderline_pairs],
     }

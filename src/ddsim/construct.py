@@ -14,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import BORDERLINE_TOL, Verdict, classify, is_borderline
+from .classify import (BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol,
+                       is_borderline)
 from .core import Axis, DominanceReport, as_matrix, is_diag_dominant, similarity_residual
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock,
-                       RealJordanForm, real_jordan_form)
+                       RealJordanForm, _assemble_jordan, _Spectrum,
+                       jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
 MARGIN_FRACTION = 0.5
 
-
-def certificate_tol(a) -> float:
-    """Acceptance threshold for certificate similarity residuals."""
-    return 1e-6 * (1.0 + float(np.linalg.norm(np.asarray(a))))
+#: Acceptance threshold for certificate similarity residuals: the Jordan one.
+certificate_tol = jordan_residual_tol
 
 
 class Target(enum.Enum):
@@ -78,9 +78,15 @@ def _block_slack(block, target, borderline_tol):
     return slack
 
 
-def _chain_weights(blocks, rho):
+def _chain_weights(blocks, slacks, margin):
     """Diagonal weights: coordinate k of a chain gets rho**k; boundary cells
-    and length-1 chains stay at weight 1."""
+    and length-1 chains stay at weight 1.
+
+    Each unit coupling then shrinks to at most ``margin`` times the smallest
+    slack among the chains being scaled: ``rho = max(2, 2 / (margin *
+    min(slacks)))``, or 1 when there are no chains to scale.
+    """
+    rho = max(2.0, 2.0 / (margin * min(slacks))) if slacks else 1.0
     weights = []
     for b in blocks:
         if isinstance(b, RealJordanBlock):
@@ -113,27 +119,12 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     blocks = jordan.blocks
-    n = jordan.J.shape[0]
-
     slacks = []
-    coupling_max = 0.0
-    pos = 0
     for b in blocks:
         slack = _block_slack(b, target, borderline_tol)
-        needs_scaling = (b.size if isinstance(b, RealJordanBlock) else b.chain_length) > 1
-        if needs_scaling:
+        if (b.size if isinstance(b, RealJordanBlock) else b.chain_length) > 1:
             slacks.append(slack)
-            sub = jordan.J[pos:pos + b.dim, pos:pos + b.dim]
-            # couplings sit at offset +1 (real chains) or +2 (cell chains)
-            offset = 2 if isinstance(b, ComplexJordanBlock) else 1
-            coupling_max = max(coupling_max, float(np.abs(np.triu(sub, offset)).max()))
-        pos += b.dim
-
-    if slacks:
-        rho = max(2.0, (1.0 + coupling_max) / (margin * min(slacks)))
-    else:
-        rho = 1.0
-    d = _chain_weights(blocks, rho)
+    d = _chain_weights(blocks, slacks, margin)
     b_mat = _diag_scale(jordan.J, d)
 
     if target is Target.NON_STRICT:
@@ -156,12 +147,14 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     """Real ``P`` with ``B = P A P^{-1}`` diagonally dominant, when possible.
 
     Raises :class:`NotAchievable` when the classification rules the target
-    out, and propagates Jordan failures.  The returned certificate is checked
-    independently of the construction: dominance is recomputed from ``B`` and
-    the residual from the triple.
+    out, before any chain is built, and propagates Jordan failures.  The
+    verdict and the Jordan form come from one spectral pass.  The returned
+    certificate is checked independently of the construction: dominance is
+    recomputed from ``B`` and the residual from the triple.
     """
     a = as_matrix(a)
-    verdict = classify(a, tol, cluster_tol).verdict
+    spectrum = _Spectrum(a, cluster_tol, vectors=True)
+    verdict = _classify_structure(spectrum.structure(), tol, _zero_tol(a, tol)).verdict
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
                                    Verdict.NON_STRICT_ONLY)}[target]
@@ -170,7 +163,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
             f"verdict {verdict.value} does not permit target {target.value}",
             classification=verdict)
 
-    jordan = real_jordan_form(a, cluster_tol)
+    jordan = spectrum.jordan_form()
     d_mat, b_mat = scale_jordan_to_dd(jordan, target, margin, tol)
     p = np.diag(d_mat)[:, None] * jordan.P
     residual = similarity_residual(a, p, b_mat)
@@ -192,31 +185,6 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
 _CELL_DIAGONALIZER = np.array([[0.5j, 0.5], [0.5j, -0.5]])
 
 
-def _complex_target(blocks, n):
-    """Canonical complex matrix after cell diagonalisation: eigenvalues on the
-    diagonal, unit couplings one cell to the right inside each chain."""
-    out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for b in blocks:
-        if isinstance(b, RealJordanBlock):
-            for i in range(b.size):
-                out[pos + i, pos + i] = b.eigenvalue
-                if i + 1 < b.size:
-                    out[pos + i, pos + i + 1] = 1.0
-            pos += b.size
-        else:
-            lam = complex(b.alpha, b.beta)
-            for c in range(b.chain_length):
-                r = pos + 2 * c
-                out[r, r] = lam
-                out[r + 1, r + 1] = lam.conjugate()
-                if c + 1 < b.chain_length:
-                    out[r, r + 2] = 1.0
-                    out[r + 1, r + 3] = 1.0
-            pos += 2 * b.chain_length
-    return out
-
-
 def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
                                cluster_tol: float = CLUSTER_TOL,
                                margin: float = MARGIN_FRACTION) -> SimilarityCertificate:
@@ -229,12 +197,13 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     """
     a = as_matrix(a)
     n = a.shape[0]
-    zero_tol = tol * (1.0 + float(np.linalg.norm(a)))
-    if float(np.abs(np.linalg.eigvals(a)).min()) <= zero_tol:
+    spectrum = _Spectrum(a, cluster_tol, vectors=True)
+    zero_tol = _zero_tol(a, tol)
+    if float(np.abs(spectrum.values).min()) <= zero_tol:
         raise SingularInput(
             f"an eigenvalue lies within {zero_tol:.3e} of zero")
 
-    jordan = real_jordan_form(a, cluster_tol)
+    jordan = spectrum.jordan_form()
     blocks = jordan.blocks
 
     cell_map = np.eye(n, dtype=complex)
@@ -252,9 +221,8 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
                 slacks.append(abs(b.eigenvalue))
         pos += b.dim
 
-    rho = max(2.0, 2.0 / (margin * min(slacks))) if slacks else 1.0
-    d = _chain_weights(blocks, rho)
-    b_mat = _diag_scale(_complex_target(blocks, n), d)
+    d = _chain_weights(blocks, slacks, margin)
+    b_mat = _diag_scale(_assemble_jordan(blocks, n, diagonal_cells=True), d)
     p = d[:, None] * (cell_map @ jordan.P)
 
     residual = similarity_residual(a, p, b_mat)

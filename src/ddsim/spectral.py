@@ -9,6 +9,7 @@ similarity residual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,103 +103,6 @@ class RealJordanForm:
     residual: float
 
 
-class _Cluster:
-    """One eigenvalue cluster: representative value, members, spread."""
-
-    def __init__(self, members):
-        self.members = np.asarray(members)
-        self.rep = complex(self.members.mean())
-        self.radius = float(np.abs(self.members - self.rep).max()) if len(members) else 0.0
-        self.alg_mult = len(members)
-
-
-def _single_linkage_1d(values, tol):
-    values = np.sort(np.asarray(values))
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            groups.append(values[start:i])
-            start = i
-    return groups
-
-
-def _single_linkage_complex(values, tol):
-    values = list(values)
-    parent = list(range(len(values)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i, v in enumerate(values):
-        groups.setdefault(find(i), []).append(v)
-    # deterministic order: by (real, imag) of the group mean
-    out = list(groups.values())
-    out.sort(key=lambda g: (np.mean(g).real, np.mean(g).imag))
-    return out
-
-
-def _check_grouping_unambiguous(groups, tol, kind):
-    """Raise ClusterAmbiguity when two groups nearly touch under the tolerance."""
-    reps = [np.mean(g) for g in groups]
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            gap = min(abs(u - v) for u in groups[i] for v in groups[j])
-            if gap <= AMBIGUITY_FACTOR * tol:
-                merged = [g for k, g in enumerate(groups) if k not in (i, j)]
-                merged.append(list(groups[i]) + list(groups[j]))
-                raise ClusterAmbiguity(
-                    f"{kind} eigenvalue clusters at {reps[i]:.6g} and {reps[j]:.6g} "
-                    f"are separated by {gap:.3e}, within {AMBIGUITY_FACTOR}x the "
-                    f"clustering tolerance {tol:.3e}",
-                    groupings=[[list(g) for g in groups],
-                               [list(g) for g in merged]],
-                )
-
-
-def _eig_clusters(a, cluster_tol):
-    """Cluster the spectrum of ``a`` into real groups and conjugate-pair groups.
-
-    Returns ``(real_clusters, pair_clusters, scale)`` where pair clusters hold
-    only the upper-half-plane representatives.
-    """
-    a = as_matrix(a)
-    scale = 1.0 + float(np.linalg.norm(a))
-    tol = cluster_tol * scale
-    w = np.linalg.eigvals(a)
-
-    imag = w.imag
-    near_real = np.abs(imag) <= tol
-    if np.any((np.abs(imag) > tol) & (np.abs(imag) <= AMBIGUITY_FACTOR * tol)):
-        raise ClusterAmbiguity(
-            "an eigenvalue sits near the real axis within "
-            f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
-            "its realness cannot be decided",
-            groupings=[list(w[near_real].real), list(w.real)],
-        )
-    real_vals = w[near_real].real
-    upper = w[imag > tol]
-
-    real_groups = _single_linkage_1d(real_vals, tol)
-    pair_groups = _single_linkage_complex(upper, tol)
-    _check_grouping_unambiguous(real_groups, tol, "real")
-    _check_grouping_unambiguous(pair_groups, tol, "complex")
-
-    real_clusters = [_Cluster(g) for g in real_groups]
-    real_clusters.sort(key=lambda c: c.rep.real)
-    pair_clusters = [_Cluster(g) for g in pair_groups]
-    pair_clusters.sort(key=lambda c: (c.rep.real, c.rep.imag))
-    return real_clusters, pair_clusters, scale
-
-
 def _nullspace(m, extra_tol=0.0):
     """Orthonormal nullspace basis of ``m`` with a combined sv threshold."""
     u, s, vh = np.linalg.svd(m)
@@ -210,12 +114,273 @@ def _nullspace(m, extra_tol=0.0):
     return vh[len(s) - nullity:].conj().T
 
 
-def _cluster_nullity(a, cluster, complex_field):
-    lam = cluster.rep if complex_field else cluster.rep.real
-    m = (a.astype(complex) if complex_field else a) - lam * np.eye(a.shape[0], dtype=complex if complex_field else float)
-    # widen the rank threshold by the cluster spread: variation below the
-    # clustering tolerance is "zero" by the clustering decision itself
-    return _nullspace(m, extra_tol=2.0 * cluster.radius).shape[1]
+class _Cluster:
+    """One eigenvalue cluster and the nullspace filtration of ``m = a - rep I``.
+
+    The filtration (over the complex field for conjugate pairs) is taken one
+    power at a time, only as far as a caller needs it.  A simple cluster needs
+    none of it: its geometric multiplicity is 1, and ``vector`` holds the
+    unit eigenvector ``eig`` returned for it, when one was asked for.
+    """
+
+    def __init__(self, a, members, mean, complex_field, vector=None):
+        self.rep = complex(mean)
+        self.radius = float(np.abs(members - self.rep).max()) if len(members) > 1 else 0.0
+        self.alg_mult = len(members)
+        self.lam = self.rep if complex_field else self.rep.real
+        self.a = a
+        self.dtype = complex if complex_field else float
+        self.vector = vector
+        self.bases = []
+
+    def _grow(self):
+        """Append a nullspace basis of the next power of ``m``."""
+        if not self.bases:
+            eye = np.eye(self.a.shape[0], dtype=self.dtype)
+            self.m = self.a.astype(self.dtype) - self.lam * eye
+            self.power = eye
+            self.bases.append(np.zeros((self.a.shape[0], 0), dtype=self.dtype))
+        k = len(self.bases)
+        if k == 2:
+            self.sig = float(np.linalg.norm(self.m, 2))
+        self.power = self.power @ self.m
+        # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
+        growth = max(1.0, self.sig) ** (k - 1) if k > 1 else 1.0
+        self.bases.append(_nullspace(self.power, 2.0 * k * self.radius * growth))
+
+    @property
+    def geo_mult(self) -> int:
+        """1 for a simple cluster, else the first width of the filtration."""
+        if self.alg_mult == 1:
+            return 1
+        if not self.bases:
+            self._grow()
+        return self.bases[1].shape[1]
+
+    def chains(self):
+        """Jordan chains of the cluster, longest first.
+
+        A simple cluster's one chain is its ``eig`` eigenvector.  Otherwise
+        chains are built top-down from the filtration: the number of chains of
+        length >= k is the nullity increment between consecutive powers, chain
+        tops at height k are chosen independent of ker(m^{k-1}) and of taller
+        chains via SVD, and the rest of each chain is generated exactly as
+        v_{j-1} = m v_j.
+        """
+        if self.vector is not None:
+            return [[self.vector]]
+        alg, lam, bases = self.alg_mult, self.lam, self.bases
+        for k in range(1, alg + 1):
+            if len(bases) <= k:
+                self._grow()
+            if bases[k].shape[1] > alg:
+                raise IllConditionedJordan(
+                    f"nullity {bases[k].shape[1]} of power {k} exceeds the cluster "
+                    f"multiplicity {alg} near eigenvalue {lam:.6g}")
+            if bases[k].shape[1] in (alg, bases[k - 1].shape[1]):
+                break
+        nullities = [b.shape[1] for b in bases]
+        if nullities[-1] != alg:
+            raise IllConditionedJordan(
+                f"nullspace filtration saturated at {nullities[-1]} < algebraic "
+                f"multiplicity {alg} near eigenvalue {lam:.6g}")
+
+        m = self.m
+        height = len(nullities) - 1
+        widths = [nullities[k] - nullities[k - 1] for k in range(1, height + 1)]
+        if any(widths[i + 1] > widths[i] for i in range(len(widths) - 1)):
+            raise IllConditionedJordan(
+                f"non-monotone nullity increments {widths} near eigenvalue {lam:.6g}")
+
+        chains = []
+        for k in range(height, 0, -1):
+            taller = widths[k] if k < height else 0
+            new_count = widths[k - 1] - taller
+            if new_count == 0:
+                continue
+            blocked = [bases[k - 1]]
+            blocked += [ch[k - 1][:, None] for ch in chains if len(ch) > k]
+            s_mat = np.concatenate(blocked, axis=1)
+            cand = bases[k]
+            if s_mat.shape[1]:
+                u, s, _ = np.linalg.svd(s_mat, full_matrices=False)
+                rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+                u = u[:, :rank]
+                cand = cand - u @ (u.conj().T @ cand)
+            uc, sc, _ = np.linalg.svd(cand, full_matrices=False)
+            if sc.size < new_count or sc[new_count - 1] < _TOP_SELECT_TOL:
+                raise IllConditionedJordan(
+                    f"cannot separate {new_count} chain top(s) at height {k} "
+                    f"near eigenvalue {lam:.6g}")
+            for t in range(new_count):
+                vs = [uc[:, t]]
+                for _ in range(k - 1):
+                    vs.append(m @ vs[-1])
+                vs.reverse()
+                norm_max = max(float(np.linalg.norm(v)) for v in vs)
+                chains.append([v / norm_max for v in vs])
+        chains.sort(key=len, reverse=True)
+        return chains
+
+
+def _group(values, tol, kind):
+    """Single-linkage groups of ``values`` at distance ``tol``.
+
+    Returns the groups as index lists (index order inside a group) and their
+    means, both ordered by (real, imag) of the mean.  Raises
+    :class:`ClusterAmbiguity` when two groups nearly touch under the tolerance.
+    """
+    vals = values.tolist()
+    parent = list(range(len(vals)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    near = []
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            gap = abs(vals[i] - vals[j])
+            if gap <= AMBIGUITY_FACTOR * tol:
+                near.append((i, j, gap))
+                if gap <= tol:
+                    parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(vals)):
+        groups.setdefault(find(i), []).append(i)
+    groups = list(groups.values())
+    means = [values[g].mean() if len(g) > 1 else values[g[0]] for g in groups]
+    order = sorted(range(len(groups)), key=lambda k: (means[k].real, means[k].imag))
+    groups = [groups[k] for k in order]
+    means = [means[k] for k in order]
+
+    rank = {i: r for r, g in enumerate(groups) for i in g}
+    cross = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), gap)
+                   for i, j, gap in near if rank[i] != rank[j])
+    if cross:
+        i, j, gap = cross[0]
+        merged = [list(values[g]) for k, g in enumerate(groups) if k not in (i, j)]
+        merged.append(list(values[groups[i] + groups[j]]))
+        raise ClusterAmbiguity(
+            f"{kind} eigenvalue clusters at {means[i]:.6g} and {means[j]:.6g} "
+            f"are separated by {gap:.3e}, within {AMBIGUITY_FACTOR}x the "
+            f"clustering tolerance {tol:.3e}",
+            groupings=[[list(values[g]) for g in groups], merged],
+        )
+    return groups, means
+
+
+class _Spectrum:
+    """One eigen-solve of ``a`` and the clusters of its spectrum.
+
+    Every spectral fact of one public call is derived from this single pass:
+    ``eigvals`` when only the eigen-structure is needed, ``eig`` when a
+    Jordan basis may be built (simple clusters take their vector from it).
+    """
+
+    def __init__(self, a, cluster_tol, vectors):
+        self.a = a
+        self.tol = cluster_tol * (1.0 + float(np.linalg.norm(a)))
+        if vectors:
+            self.values, self.vectors = np.linalg.eig(a)
+        else:
+            self.values, self.vectors = np.linalg.eigvals(a), None
+
+    @functools.cached_property
+    def clusters(self):
+        """``(real_clusters, pair_clusters)``, pair clusters holding only the
+        upper-half-plane members.  Raises :class:`ClusterAmbiguity`."""
+        w, tol = self.values, self.tol
+        imag = w.imag
+        near_real = np.abs(imag) <= tol
+        if np.any((np.abs(imag) > tol) & (np.abs(imag) <= AMBIGUITY_FACTOR * tol)):
+            raise ClusterAmbiguity(
+                "an eigenvalue sits near the real axis within "
+                f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
+                "its realness cannot be decided",
+                groupings=[list(w[near_real].real), list(w.real)],
+            )
+        real_idx = np.flatnonzero(near_real)
+        real_idx = real_idx[np.argsort(w[real_idx].real, kind="stable")]
+        upper_idx = np.flatnonzero(imag > tol)
+        out = []
+        for idx, values, pairs in ((real_idx, w[real_idx].real, False),
+                                   (upper_idx, w[upper_idx], True)):
+            clusters = []
+            for g, mean in zip(*_group(values, tol, "complex" if pairs else "real")):
+                vector = None
+                if self.vectors is not None and len(g) == 1:
+                    vector = self.vectors[:, idx[g[0]]]
+                    vector = vector if pairs else vector.real
+                clusters.append(_Cluster(self.a, values[g], mean, pairs, vector))
+            out.append(clusters)
+        return tuple(out)
+
+    def structure(self) -> EigenStructure:
+        """Both multiplicities of every cluster; only repeated eigenvalues
+        cost an SVD."""
+        real_clusters, pair_clusters = self.clusters
+        real_eigs = tuple(
+            RealEigenvalue(value=float(c.rep.real), alg_mult=c.alg_mult,
+                           geo_mult=c.geo_mult)
+            for c in real_clusters
+        )
+        complex_pairs = tuple(
+            ComplexPair(alpha=float(c.rep.real), beta=float(c.rep.imag),
+                        alg_mult=c.alg_mult, geo_mult=c.geo_mult)
+            for c in pair_clusters
+        )
+        for e in real_eigs:
+            if not (1 <= e.geo_mult <= e.alg_mult):
+                raise IllConditionedJordan(
+                    f"inconsistent multiplicities for eigenvalue {e.value:.6g}: "
+                    f"geometric {e.geo_mult}, algebraic {e.alg_mult}")
+        for p in complex_pairs:
+            if not (1 <= p.geo_mult <= p.alg_mult):
+                raise IllConditionedJordan(
+                    f"inconsistent multiplicities for pair {p.alpha:.6g}+/-{p.beta:.6g}j: "
+                    f"geometric {p.geo_mult}, algebraic {p.alg_mult}")
+        return EigenStructure(real_eigs=real_eigs, complex_pairs=complex_pairs)
+
+    def jordan_form(self) -> RealJordanForm:
+        """Real Jordan form from the clusters' chains, verified by the
+        basis conditioning and the similarity residual."""
+        a = self.a
+        n = a.shape[0]
+        real_clusters, pair_clusters = self.clusters
+        blocks = []
+        columns = []
+        for cluster in real_clusters:
+            lam = float(cluster.rep.real)
+            for chain in cluster.chains():
+                blocks.append(RealJordanBlock(eigenvalue=lam, size=len(chain)))
+                columns.extend(chain)
+        for cluster in pair_clusters:
+            alpha, beta = float(cluster.rep.real), float(cluster.rep.imag)
+            for chain in cluster.chains():
+                blocks.append(ComplexJordanBlock(alpha=alpha, beta=beta,
+                                                 chain_length=len(chain)))
+                for w in chain:
+                    columns.extend((w.real, w.imag))
+
+        if sum(b.dim for b in blocks) != n:
+            raise IllConditionedJordan(
+                "block dimensions do not add up to the matrix dimension")
+        q = np.column_stack(columns)
+        sv = np.linalg.svd(q, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
+            raise IllConditionedJordan(
+                f"Jordan basis is numerically singular (sv ratio {sv[-1]:.3e} / {sv[0]:.3e})")
+        p = np.linalg.inv(q)
+        j = _assemble_jordan(blocks, n)
+        residual = similarity_residual(a, p, j)
+        tol = jordan_residual_tol(a)
+        if residual > tol:
+            raise IllConditionedJordan(
+                f"Jordan residual {residual:.3e} exceeds tolerance {tol:.3e}")
+        return RealJordanForm(J=j, P=p, blocks=tuple(blocks), residual=residual)
 
 
 def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
@@ -223,132 +388,35 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
 
     Real eigenvalues and conjugate pairs are reported separately; geometric
     multiplicity is the numerical nullity of ``a - lambda I`` (over the
-    complex field for pairs).  Raises :class:`ClusterAmbiguity` when the
-    grouping is not numerically decidable at this tolerance.
+    complex field for pairs), and 1 for a simple eigenvalue.  Raises
+    :class:`ClusterAmbiguity` when the grouping is not numerically decidable
+    at this tolerance.
     """
-    a = as_matrix(a)
-    real_clusters, pair_clusters, _ = _eig_clusters(a, cluster_tol)
-    real_eigs = tuple(
-        RealEigenvalue(value=float(c.rep.real), alg_mult=c.alg_mult,
-                       geo_mult=_cluster_nullity(a, c, complex_field=False))
-        for c in real_clusters
-    )
-    complex_pairs = tuple(
-        ComplexPair(alpha=float(c.rep.real), beta=float(c.rep.imag),
-                    alg_mult=c.alg_mult,
-                    geo_mult=_cluster_nullity(a, c, complex_field=True))
-        for c in pair_clusters
-    )
-    for e in real_eigs:
-        if not (1 <= e.geo_mult <= e.alg_mult):
-            raise IllConditionedJordan(
-                f"inconsistent multiplicities for eigenvalue {e.value:.6g}: "
-                f"geometric {e.geo_mult}, algebraic {e.alg_mult}")
-    for p in complex_pairs:
-        if not (1 <= p.geo_mult <= p.alg_mult):
-            raise IllConditionedJordan(
-                f"inconsistent multiplicities for pair {p.alpha:.6g}+/-{p.beta:.6g}j: "
-                f"geometric {p.geo_mult}, algebraic {p.alg_mult}")
-    return EigenStructure(real_eigs=real_eigs, complex_pairs=complex_pairs)
+    return _Spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
 
 
-def _jordan_chains(a, cluster, complex_field):
-    """Jordan chains for one eigenvalue cluster, longest first.
-
-    Chains are built top-down from the nullspace filtration of the powers of
-    ``m = a - lambda I``: the number of chains of length >= k is the nullity
-    increment between consecutive powers, chain tops at height k are chosen
-    independent of ker(m^{k-1}) and of taller chains via SVD, and the rest of
-    each chain is generated exactly as v_{j-1} = m v_j.
-    """
-    n = a.shape[0]
-    lam = cluster.rep if complex_field else cluster.rep.real
-    dtype = complex if complex_field else float
-    m = a.astype(dtype) - lam * np.eye(n, dtype=dtype)
-    sig = float(np.linalg.norm(m, 2))
-    alg = cluster.alg_mult
-
-    bases = [np.zeros((n, 0), dtype=dtype)]
-    nullities = [0]
-    power = np.eye(n, dtype=dtype)
-    for k in range(1, alg + 1):
-        power = power @ m
-        # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
-        extra = 2.0 * k * cluster.radius * max(1.0, sig) ** (k - 1)
-        nb = _nullspace(power, extra_tol=extra)
-        bases.append(nb)
-        nullities.append(nb.shape[1])
-        if nullities[-1] > alg:
-            raise IllConditionedJordan(
-                f"nullity {nullities[-1]} of power {k} exceeds the cluster "
-                f"multiplicity {alg} near eigenvalue {lam:.6g}")
-        if nullities[-1] == nullities[-2]:
-            break
-        if nullities[-1] == alg:
-            break
-    if nullities[-1] != alg:
-        raise IllConditionedJordan(
-            f"nullspace filtration saturated at {nullities[-1]} < algebraic "
-            f"multiplicity {alg} near eigenvalue {lam:.6g}")
-
-    height = len(nullities) - 1
-    widths = [nullities[k] - nullities[k - 1] for k in range(1, height + 1)]
-    if any(widths[i + 1] > widths[i] for i in range(len(widths) - 1)):
-        raise IllConditionedJordan(
-            f"non-monotone nullity increments {widths} near eigenvalue {lam:.6g}")
-
-    chains = []
-    for k in range(height, 0, -1):
-        taller = widths[k] if k < height else 0
-        new_count = widths[k - 1] - taller
-        if new_count == 0:
-            continue
-        blocked = [bases[k - 1]]
-        blocked += [ch[k - 1][:, None] for ch in chains if len(ch) > k]
-        s_mat = np.concatenate(blocked, axis=1) if blocked else np.zeros((n, 0), dtype=dtype)
-        cand = bases[k]
-        if s_mat.shape[1]:
-            u, s, _ = np.linalg.svd(s_mat, full_matrices=False)
-            rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-            u = u[:, :rank]
-            cand = cand - u @ (u.conj().T @ cand)
-        uc, sc, _ = np.linalg.svd(cand, full_matrices=False)
-        if sc.size < new_count or sc[new_count - 1] < _TOP_SELECT_TOL:
-            raise IllConditionedJordan(
-                f"cannot separate {new_count} chain top(s) at height {k} "
-                f"near eigenvalue {lam:.6g}")
-        for t in range(new_count):
-            vs = [uc[:, t]]
-            for _ in range(k - 1):
-                vs.append(m @ vs[-1])
-            vs.reverse()
-            norm_max = max(float(np.linalg.norm(v)) for v in vs)
-            chains.append([v / norm_max for v in vs])
-    chains.sort(key=len, reverse=True)
-    return chains
-
-
-def _assemble_jordan(blocks, n) -> np.ndarray:
-    j = np.zeros((n, n))
+def _assemble_jordan(blocks, n, diagonal_cells=False) -> np.ndarray:
+    """Canonical matrix of ``blocks``: cells on the diagonal, identity
+    couplings one cell to the right inside each chain.  With
+    ``diagonal_cells`` each rotation cell is ``diag(alpha + beta j,
+    alpha - beta j)`` and the result is complex."""
+    j = np.zeros((n, n), dtype=complex if diagonal_cells else float)
     pos = 0
     for b in blocks:
         if isinstance(b, RealJordanBlock):
-            for i in range(b.size):
-                j[pos + i, pos + i] = b.eigenvalue
-                if i + 1 < b.size:
-                    j[pos + i, pos + i + 1] = 1.0
-            pos += b.size
+            cell, length = [[b.eigenvalue]], b.size
+        elif diagonal_cells:
+            lam = complex(b.alpha, b.beta)
+            cell, length = [[lam, 0.0], [0.0, lam.conjugate()]], b.chain_length
         else:
-            for c in range(b.chain_length):
-                r = pos + 2 * c
-                j[r, r] = b.alpha
-                j[r, r + 1] = b.beta
-                j[r + 1, r] = -b.beta
-                j[r + 1, r + 1] = b.alpha
-                if c + 1 < b.chain_length:
-                    j[r, r + 2] = 1.0
-                    j[r + 1, r + 3] = 1.0
-            pos += 2 * b.chain_length
+            cell, length = [[b.alpha, b.beta], [-b.beta, b.alpha]], b.chain_length
+        size = len(cell)
+        for c in range(length):
+            r = pos + size * c
+            j[r:r + size, r:r + size] = cell
+            if c + 1 < length:
+                j[r:r + size, r + size:r + 2 * size] = np.eye(size)
+        pos += b.dim
     return j
 
 
@@ -364,39 +432,4 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     final residual check fails; callers may retry with another
     ``cluster_tol``.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    real_clusters, pair_clusters, _ = _eig_clusters(a, cluster_tol)
-
-    blocks = []
-    columns = []
-    for cluster in real_clusters:
-        lam = float(cluster.rep.real)
-        for chain in _jordan_chains(a, cluster, complex_field=False):
-            blocks.append(RealJordanBlock(eigenvalue=lam, size=len(chain)))
-            columns.extend(chain)
-    for cluster in pair_clusters:
-        alpha, beta = float(cluster.rep.real), float(cluster.rep.imag)
-        for chain in _jordan_chains(a, cluster, complex_field=True):
-            blocks.append(ComplexJordanBlock(alpha=alpha, beta=beta,
-                                             chain_length=len(chain)))
-            for w in chain:
-                columns.append(w.real.copy())
-                columns.append(w.imag.copy())
-
-    if sum(b.dim for b in blocks) != n:
-        raise IllConditionedJordan(
-            "block dimensions do not add up to the matrix dimension")
-    q = np.column_stack(columns)
-    sv = np.linalg.svd(q, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
-        raise IllConditionedJordan(
-            f"Jordan basis is numerically singular (sv ratio {sv[-1]:.3e} / {sv[0]:.3e})")
-    p = np.linalg.inv(q)
-    j = _assemble_jordan(blocks, n)
-    residual = similarity_residual(a, p, j)
-    tol = jordan_residual_tol(a)
-    if residual > tol:
-        raise IllConditionedJordan(
-            f"Jordan residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    return RealJordanForm(J=j, P=p, blocks=tuple(blocks), residual=residual)
+    return _Spectrum(as_matrix(a), cluster_tol, vectors=True).jordan_form()

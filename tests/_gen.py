@@ -85,6 +85,22 @@ def spectrum_matrix(rng, n, dominant_pairs_only=True, cond_limit=100.0,
     return a
 
 
+def chain_matrix(rng, kind, length, cond_limit=100.0):
+    """Q C Q^{-1} with C one Jordan chain of ``length``: a nonzero real
+    eigenvalue (``kind="real"``) or a dominant conjugate pair whose 2x2 cells
+    are coupled by identities (``kind="pair"``)."""
+    mag = rng.uniform(0.5, 3.0)
+    sign = rng.choice([-1.0, 1.0])
+    if kind == "real":
+        c = mag * sign * np.eye(length) + np.eye(length, k=1)
+    else:
+        beta = mag * rng.uniform(0.1, 0.8)
+        cell = np.array([[mag * sign, beta], [-beta, mag * sign]])
+        c = np.kron(np.eye(length), cell) + np.eye(2 * length, k=2)
+    q = well_conditioned(rng, c.shape[0], cond_limit)
+    return q @ c @ np.linalg.inv(q)
+
+
 def metzler_hurwitz_matrix(rng, n):
     """N - sI with N entrywise nonnegative and s beyond the Perron root."""
     nonneg = rng.uniform(0.0, 1.0, size=(n, n))

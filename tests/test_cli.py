@@ -200,3 +200,11 @@ def test_out_flag_writes_document(tmp_path, capsys):
                                 "--out", str(out_path)])
     assert code == 0
     assert out_path.read_text() == out
+
+
+def test_unused_seed_flag_is_rejected(tmp_path, capsys):
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--input", path, "--seed", "1"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
