@@ -12,6 +12,7 @@ the scan decisive on the boundary as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,18 +40,15 @@ class RandomSearchResult:
     samples: int
 
 
-def _axis_values(lo, hi, steps, anchor):
-    vals = np.linspace(lo, hi, steps)
+def _with_anchor(vals, lo, hi, anchor):
     if lo < anchor < hi and anchor not in vals:
         vals = np.sort(np.append(vals, anchor))
     return vals
 
 
-def _log_magnitudes(lo, hi, steps, anchor=1.0):
-    vals = np.logspace(np.log10(lo), np.log10(hi), steps)
-    if lo < anchor < hi and anchor not in vals:
-        vals = np.sort(np.append(vals, anchor))
-    return vals
+def _check_count(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 def grid_search_2x2(alpha: float, beta: float,
@@ -59,39 +57,47 @@ def grid_search_2x2(alpha: float, beta: float,
                     steps: int = 400, strict: bool = False) -> GridSearchResult:
     """Scan (x, y) for a dominance witness of the pair ``(alpha, beta)``.
 
-    ``y_abs_range`` is the magnitude interval |y| in (0, inf); both signs are
-    scanned, log-spaced, ``steps`` values in total.  The witness is the first
-    feasible point in scan order (x outer, y inner); ``best_margin`` is the
-    largest min-row margin seen over the whole grid (negative when every
-    point violates dominance).
+    ``x`` takes ``steps`` linearly spaced values over ``x_range``, plus the
+    anchor 0 when the range covers it.  ``y_abs_range`` is the magnitude
+    interval |y| in (0, inf): ``steps // 2`` log-spaced magnitudes, plus the
+    anchor 1 when the range covers it, each scanned with both signs, so ``y``
+    takes ``2 * (steps // 2)`` values, or 2 more with the anchor.
+    ``samples`` is ``len(xs) * len(ys)``.  The witness is the first feasible
+    point in scan order (x outer, y inner, negative y before positive);
+    ``best_margin`` is the largest min-row margin seen over the whole grid
+    (negative when every point violates dominance).
     """
+    if not np.isfinite([alpha, beta, *x_range, *y_abs_range]).all():
+        raise ValueError("alpha, beta and the range endpoints must be finite")
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    y_lo, y_hi = y_abs_range
+    _check_count("steps", steps, 2)
+    x_lo, x_hi = map(float, x_range)
+    y_lo, y_hi = map(float, y_abs_range)
     if not 0.0 < y_lo <= y_hi:
         raise ValueError("y magnitude range must be positive")
 
-    xs = _axis_values(float(x_range[0]), float(x_range[1]), steps, anchor=0.0)
-    mags = _log_magnitudes(float(y_lo), float(y_hi), max(1, steps // 2))
-    ys = np.concatenate([-mags, mags])
+    xs = _with_anchor(np.linspace(x_lo, x_hi, steps), x_lo, x_hi, 0.0)
+    mags = _with_anchor(np.logspace(np.log10(y_lo), np.log10(y_hi), steps // 2),
+                        y_lo, y_hi, 1.0)
 
-    r = np.hypot(beta, xs)
-    m1 = np.abs(alpha - xs)[:, None] - r[:, None] / np.abs(ys)[None, :]
-    m2 = np.abs(alpha + xs)[:, None] - r[:, None] * np.abs(ys)[None, :]
+    # The margins depend on |y| only, so each magnitude is evaluated once and
+    # stands for both y = -|y| and y = +|y|.  The negative half comes first in
+    # scan order, so the first feasible point has y = -mags[j].
+    r = np.hypot(beta, xs)[:, None]
+    m1 = np.abs(alpha - xs)[:, None] - r / mags
+    m2 = np.abs(alpha + xs)[:, None] - r * mags
     margins = np.minimum(m1, m2)
     feasible = margins > 0.0 if strict else margins >= 0.0
 
     best = float(margins.max())
-    samples = int(margins.size)
+    samples = len(xs) * 2 * len(mags)
     if not feasible.any():
         return GridSearchResult(found=False, witness=None,
                                 best_margin=best, samples=samples)
-    flat = int(np.argmax(feasible.ravel()))
-    i, j = np.unravel_index(flat, margins.shape)
+    i, j = np.unravel_index(int(np.argmax(feasible)), margins.shape)
     witness = TwoByTwoParams(alpha=float(alpha), beta=float(beta),
-                             x=float(xs[i]), y=float(ys[j]))
+                             x=float(xs[i]), y=float(-mags[j]))
     return GridSearchResult(found=True, witness=witness,
                             best_margin=best, samples=samples)
 
@@ -117,23 +123,14 @@ def random_similarity_search(a, trials: int = 1000, seed: int = 0,
     the seed.  Failure to find a witness is evidence, not proof.
     """
     a = as_matrix(a)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_count("trials", trials, 1)
     n = a.shape[0]
     rng = np.random.default_rng(seed)
 
     examined = 0
     best = -np.inf
-    pending = [np.eye(n)[None, :, :]]
-    while examined < trials:
-        if not pending:
-            batch = rng.standard_normal((_BATCH, n, n))
-            conds = np.linalg.cond(batch)
-            batch = batch[np.isfinite(conds) & (conds <= COND_LIMIT)]
-            if batch.shape[0] == 0:
-                continue
-            pending.append(batch)
-        batch = pending.pop()[: trials - examined]
+    batch = np.eye(n)[None, :, :]
+    while True:
         transformed = batch @ a @ np.linalg.inv(batch)
         scores = _batch_margins(transformed)
         qualifying = np.flatnonzero(scores > 0.0 if strict else scores >= 0.0)
@@ -149,5 +146,12 @@ def random_similarity_search(a, trials: int = 1000, seed: int = 0,
                                           samples=examined + int(idx) + 1)
         best = max(best, float(scores.max())) if scores.size else best
         examined += batch.shape[0]
-    return RandomSearchResult(found=False, witness=None,
-                              best_margin=float(best), samples=examined)
+        if examined == trials:
+            return RandomSearchResult(found=False, witness=None,
+                                      best_margin=float(best), samples=examined)
+        # Draw no more candidates than the trials left: a smaller draw is a
+        # prefix of the larger one, so the candidate stream is the same
+        # whatever the batch size.
+        batch = rng.standard_normal((min(_BATCH, trials - examined), n, n))
+        conds = np.linalg.cond(batch)
+        batch = batch[np.isfinite(conds) & (conds <= COND_LIMIT)]

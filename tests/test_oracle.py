@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ddsim.oracle
+
 from ddsim import (Axis, classify_2x2, grid_search_2x2, is_diag_dominant,
                    params_feasible, random_similarity_search, Verdict)
 
@@ -98,3 +100,103 @@ def test_random_search_deterministic():
     r2 = random_similarity_search(a, trials=2000, seed=42)
     assert r1.found == r2.found and r1.samples == r2.samples
     assert r1.best_margin == r2.best_margin
+
+
+# Results recorded from the full-grid scan and the fixed-size search batches
+# that preceded the half-grid scan and the trimmed batches; the cases cover
+# the boundary witness (negative y), odd and minimal steps, ranges without
+# the 0 / 1 anchors, strict and non-strict, and searches that cross a batch.
+GRID_GOLDEN = [
+    ((-1.0, 1.0), {}, (True, (0.0, -1.0), 0.0, 161202)),
+    ((-1.0, 1.0), {"strict": True}, (False, None, 0.0, 161202)),
+    ((0.0, 1.0), {}, (False, None, -0.049875621120889946, 161202)),
+    ((2.0, 1.0), {}, (True, (-1.177944862155389, -0.4880251583654431), 1.0, 161202)),
+    ((-2.0, 1.0), {"x_range": (-5.0, 5.0), "y_abs_range": (0.1, 5.0), "steps": 101,
+                   "strict": True},
+     (True, (-1.0999999999999996, -1.77101753144965), 1.0, 10302)),
+    ((-1.5, 1.0), {"steps": 2}, (True, (0.0, -1.0), 0.5, 12)),
+    ((1.3, 0.7), {"x_range": (0.5, 4.0), "y_abs_range": (2.0, 9.0), "steps": 37},
+     (True, (0.5, -2.0), 0.07953494659147475, 1332)),
+    ((-1.2, -0.9), {"x_range": (-3.0, 3.0), "y_abs_range": (0.05, 0.8), "steps": 51,
+                    "strict": True},
+     (True, (0.0, -0.8), 0.21483961457951906, 2550)),
+    ((0.5, 2.0), {"steps": 3}, (False, None, -0.698039027185569, 12)),
+]
+
+_ROT = [[0.0, 1.0], [-1.0, 0.0]]
+_AFTER_IDENTITY = [[-3.0, 4.0], [-1.0, -3.0]]
+_AFTER_IDENTITY_WITNESS = [[0.7487457707345911, 1.6347830429585775],
+                           [0.27276877584472176, -1.2333286640307717]]
+SEARCH_GOLDEN = [
+    ([[-2.0, 0.0], [0.0, -3.0]], {"trials": 1, "seed": 0},
+     (True, [[1.0, 0.0], [0.0, 1.0]], 2.0, 1)),
+    (_ROT, {"trials": 2000, "seed": 1}, (False, None, -0.08191752983589495, 2000)),
+    (_ROT, {"trials": 5000, "seed": 3}, (False, None, -0.12152511650147346, 5000)),
+    ([[0.3, 1.0], [-1.0, 0.3]], {"trials": 9000, "seed": 42},
+     (False, None, -0.02831146055162037, 9000)),
+    (_AFTER_IDENTITY, {"trials": 2000, "seed": 5},
+     (True, _AFTER_IDENTITY_WITNESS, 0.2865502545911012, 4)),
+    (_AFTER_IDENTITY, {"trials": 2000, "seed": 5, "strict": True},
+     (True, _AFTER_IDENTITY_WITNESS, 0.2865502545911012, 4)),
+    ([[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.0, 0.0, -1.0]], {"trials": 4097, "seed": 7},
+     (False, None, -0.8598111100875538, 4097)),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, expected", GRID_GOLDEN)
+def test_grid_matches_recorded_results(args, kwargs, expected):
+    res = grid_search_2x2(*args, **kwargs)
+    witness = None if res.witness is None else (res.witness.x, res.witness.y)
+    assert (res.found, witness, res.best_margin, res.samples) == expected
+
+
+@pytest.mark.parametrize("a, kwargs, expected", SEARCH_GOLDEN)
+def test_search_matches_recorded_results(a, kwargs, expected):
+    res = random_similarity_search(np.array(a), **kwargs)
+    witness = None if res.witness is None else res.witness.tolist()
+    assert (res.found, witness, res.best_margin, res.samples) == expected
+
+
+@pytest.mark.parametrize("trials", [2000, 5000])
+def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
+    checked = []
+    cond = np.linalg.cond
+
+    def counting(batch, *args, **kwargs):
+        checked.append(len(batch))
+        return cond(batch, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    res = random_similarity_search(np.array(_ROT), trials=trials, seed=1)
+    assert res.samples == trials
+    # the identity is examined without a condition check
+    assert sum(checked) == trials - 1
+    assert max(checked) <= ddsim.oracle._BATCH
+
+
+@pytest.mark.parametrize("bad", [
+    {"alpha": np.nan}, {"alpha": np.inf}, {"beta": np.nan}, {"beta": -np.inf},
+    {"x_range": (-np.inf, 1.0)}, {"x_range": (0.0, np.nan)},
+    {"y_abs_range": (0.1, np.inf)}, {"y_abs_range": (np.nan, 1.0)},
+])
+def test_grid_rejects_non_finite_arguments(bad):
+    kwargs = {"alpha": 1.0, "beta": 1.0, **bad}
+    with pytest.raises(ValueError, match="finite"):
+        grid_search_2x2(**kwargs)
+
+
+@pytest.mark.parametrize("steps", [400.0, 1e2, "400", None, True])
+def test_grid_rejects_non_integer_steps(steps):
+    with pytest.raises(ValueError, match="steps"):
+        grid_search_2x2(-1.5, 1.0, steps=steps)
+
+
+@pytest.mark.parametrize("trials", [1e5, 2000.0, "10", None, True, 0])
+def test_search_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        random_similarity_search(np.array(_ROT), trials=trials)
+
+
+def test_counts_accept_numpy_integers():
+    assert grid_search_2x2(-1.5, 1.0, steps=np.int64(2)).samples == 12
+    assert random_similarity_search(np.array(_ROT), trials=np.int32(3)).samples == 3
