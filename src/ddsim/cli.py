@@ -5,7 +5,8 @@ Exit codes form a total function of the outcome taxonomy:
 
 * 0 - success (classify: strictly or non-strictly achievable)
 * 1 - input parse / file error
-* 2 - internal numerical failure (message names the error type)
+* 2 - internal numerical failure (message names the error type); argparse
+      also exits 2 on a rejected argument, such as a non-finite ``--tol``
 * 3 - refused: impossible verdict, unachievable target, or violated
       structural precondition
 * 4 - out of scope: input is (numerically) singular
@@ -14,6 +15,8 @@ Exit codes form a total function of the outcome taxonomy:
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -43,19 +46,38 @@ _VERDICT_EXIT = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` value: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser for the ``ddsim`` command line.
+
+    Each call builds a fresh instance, which the caller may extend;
+    :func:`main` parses with a shared one of its own.
+    """
     parser = argparse.ArgumentParser(
         prog="ddsim",
         description="Decide and construct real similarity to diagonally "
                     "dominant matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, tol=True):
         p.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
         p.add_argument("--format", choices=("json", "csv"),
                        help="input format; default by file extension")
-        p.add_argument("--tol", type=float, default=None,
-                       help="decision tolerance (default per subcommand)")
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=None,
+                           help="decision tolerance, finite and >= 0 "
+                                "(default per subcommand)")
         p.add_argument("--out", help="also write the output document here")
 
     add_common(sub.add_parser("classify", help="trichotomy verdict with evidence"))
@@ -66,13 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--mode", choices=("real", "complex"), default="real")
 
     gp = sub.add_parser("gershgorin", help="render discs and eigenvalues as SVG")
-    add_common(gp)
+    add_common(gp, tol=False)
     gp.add_argument("--axis", choices=("row", "column"), default="row")
 
     sp = sub.add_parser("special", help="structure tests and diagonal scalings")
     add_common(sp)
     sp.add_argument("which", choices=("m-scale", "h-scale", "tests"))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and never mutated after:
+    # parse_args keeps its state in the namespace it returns, and help and
+    # usage text read the terminal width when they are formatted.
+    return build_parser()
 
 
 def _evidence_doc(classification) -> list:
@@ -167,7 +197,7 @@ def _cmd_special(a, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         a = load_matrix(args.input, args.format)
     except MatrixParseError as exc:
@@ -176,12 +206,12 @@ def main(argv=None) -> int:
     try:
         a = np.asarray(a, dtype=float)
         if args.command == "gershgorin":
-            axis = Axis.ROW if args.axis == "row" else Axis.COLUMN
-            discs = gershgorin_discs(a, axis)
-            svg = render_gershgorin(discs, np.linalg.eigvals(a))
             if not args.out:
                 print("gershgorin requires --out SVG_PATH", file=sys.stderr)
                 return 1
+            axis = Axis.ROW if args.axis == "row" else Axis.COLUMN
+            discs = gershgorin_discs(a, axis)
+            svg = render_gershgorin(discs, np.linalg.eigvals(a))
             try:
                 Path(args.out).write_text(svg)
             except OSError as exc:

@@ -57,8 +57,9 @@ def grid_search_2x2(alpha: float, beta: float,
                     steps: int = 400, strict: bool = False) -> GridSearchResult:
     """Scan (x, y) for a dominance witness of the pair ``(alpha, beta)``.
 
-    ``x`` takes ``steps`` linearly spaced values over ``x_range``, plus the
-    anchor 0 when the range covers it.  ``y_abs_range`` is the magnitude
+    ``x`` takes ``steps`` linearly spaced values over ``x_range``, an
+    ordered pair ``(x_lo, x_hi)`` with ``x_lo <= x_hi``, plus the anchor 0
+    when the range covers it.  ``y_abs_range`` is the magnitude
     interval |y| in (0, inf): ``steps // 2`` log-spaced magnitudes, plus the
     anchor 1 when the range covers it, each scanned with both signs, so ``y``
     takes ``2 * (steps // 2)`` values, or 2 more with the anchor.
@@ -74,6 +75,8 @@ def grid_search_2x2(alpha: float, beta: float,
     _check_count("steps", steps, 2)
     x_lo, x_hi = map(float, x_range)
     y_lo, y_hi = map(float, y_abs_range)
+    if x_lo > x_hi:
+        raise ValueError("x range must be ordered (x_lo <= x_hi)")
     if not 0.0 < y_lo <= y_hi:
         raise ValueError("y magnitude range must be positive")
 

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+import ddsim.cli
 from ddsim import similarity_residual
-from ddsim.cli import main
+from ddsim.cli import build_parser, main
 
 
 def write_json(tmp_path, name, rows):
@@ -208,3 +210,118 @@ def test_unused_seed_flag_is_rejected(tmp_path, capsys):
         main(["classify", "--input", path, "--seed", "1"])
     assert info.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def parse_error(capsys, argv):
+    """Run an argv that argparse must reject; return (exit code, stderr)."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return info.value.code, captured.err
+
+
+BOUNDARY_PAIR = [[-1, 1], [-1, -1]]
+
+
+@pytest.mark.parametrize("head", [["classify"], ["transform"], ["special", "tests"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tol_is_rejected(tmp_path, capsys, head, tol):
+    path = write_json(tmp_path, "a.json", BOUNDARY_PAIR)
+    code, err = parse_error(capsys, [*head, "--input", path, f"--tol={tol}"])
+    assert code == 2
+    assert "--tol" in err
+
+
+def test_finite_tol_is_accepted(tmp_path, capsys):
+    path = write_json(tmp_path, "a.json", BOUNDARY_PAIR)
+    default = run(capsys, ["classify", "--input", path])
+    assert default[0] == 0
+    assert json.loads(default[1])["verdict"] == "NonStrictOnly"
+    assert run(capsys, ["classify", "--input", path, "--tol", "1e-9"]) == default
+    assert run(capsys, ["classify", "--input", path, "--tol", "0"])[0] == 0
+
+
+def test_gershgorin_takes_no_tol(tmp_path, capsys):
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    code, err = parse_error(capsys, ["gershgorin", "--input", path, "--tol", "1e-9",
+                                     "--out", str(tmp_path / "discs.svg")])
+    assert code == 2
+    assert "--tol" in err
+
+
+def test_gershgorin_checks_out_before_any_work(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    solves = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(a) or eigvals(a))
+    code, out, err = run(capsys, ["gershgorin", "--input", path])
+    assert (code, out, err) == (1, "", "gershgorin requires --out SVG_PATH\n")
+    assert solves == []
+
+
+@pytest.fixture
+def criterion_9_argvs(tmp_path):
+    """The argv list of acceptance criterion 9 (CLI golden runs)."""
+    tri = write_json(tmp_path, "tri.json", [[-2, 1], [0, -3]])
+    rot = write_json(tmp_path, "rot.json", [[-1, 2], [-2, -1]])
+    skew = write_json(tmp_path, "skew.json", [[0, 1], [-1, 0]])
+    metzler = write_json(tmp_path, "metzler.json", [[-2, 1], [1, -2]])
+    return [
+        ["classify", "--input", tri],
+        ["classify", "--input", rot],
+        ["transform", "--input", tri, "--target", "strict", "--mode", "real"],
+        ["transform", "--input", skew, "--mode", "complex"],
+        ["transform", "--input", skew, "--mode", "real"],
+        ["special", "--input", metzler, "m-scale"],
+    ]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser()
+    per_build = len(built)
+    assert per_build == 5  # the top-level parser and one per subcommand
+    built.clear()
+    ddsim.cli._parser.cache_clear()
+
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    svg = str(tmp_path / "discs.svg")
+    argvs = [["classify", "--input", path],
+             ["transform", "--input", path],
+             ["gershgorin", "--input", path, "--out", svg],
+             ["special", "--input", path, "tests"]]
+    for _ in range(5):
+        for argv in argvs:
+            assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == per_build
+
+
+def test_shared_parser_gives_the_same_bytes_in_any_order(capsys, criterion_9_argvs):
+    forward = [run(capsys, argv) for argv in criterion_9_argvs]
+    code, _ = parse_error(capsys, ["classify", "--input", criterion_9_argvs[0][2],
+                                   "--tol", "nan"])
+    assert code == 2
+    backward = [run(capsys, argv) for argv in reversed(criterion_9_argvs)]
+    assert backward[::-1] == forward
+
+
+def test_extending_a_built_parser_leaves_main_unchanged(tmp_path, capsys):
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    before = run(capsys, ["classify", "--input", path])
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.prog = "other"
+    parser.add_argument("--extra")
+    assert run(capsys, ["classify", "--input", path]) == before
+    code, err = parse_error(capsys, ["--extra", "1", "classify", "--input", path])
+    assert code == 2
+    assert err.startswith("usage: ddsim ")

@@ -51,6 +51,13 @@ def test_grid_validates_arguments():
         grid_search_2x2(1.0, 1.0, y_abs_range=(0.0, 1.0))
 
 
+def test_grid_rejects_reversed_x_range():
+    # reversed, the range would skip the x = 0 anchor, the only boundary witness
+    assert grid_search_2x2(-1.0, 1.0, x_range=(-10, 10)).found
+    with pytest.raises(ValueError, match="x range"):
+        grid_search_2x2(-1.0, 1.0, x_range=(10, -10))
+
+
 def test_grid_oracle_agrees_with_classifier():
     rng = np.random.default_rng(101)
     checked = 0
