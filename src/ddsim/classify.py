@@ -85,65 +85,47 @@ def _classify_structure(structure: EigenStructure, tol: float,
                         zero_tol: float) -> DDClassification:
     findings = []
     borderline = []
-    singular = False
-    impossible = False
-    non_strict_only = False
+
+    def add(kind, value, eig, case, condition, ok):
+        findings.append(Finding(kind=kind, value=value, alg_mult=eig.alg_mult,
+                                geo_mult=eig.geo_mult, case=case,
+                                condition=condition, ok=ok))
 
     for e in structure.real_eigs:
         if abs(e.value) <= zero_tol:
-            findings.append(Finding(
-                kind="real", value=(e.value,), alg_mult=e.alg_mult,
-                geo_mult=e.geo_mult, case="real-zero",
-                condition=f"|{e.value:.6g}| <= {zero_tol:.3e}", ok=False))
-            singular = True
+            add("real", (e.value,), e, "real-zero",
+                f"|{e.value:.6g}| <= {zero_tol:.3e}", False)
         else:
-            findings.append(Finding(
-                kind="real", value=(e.value,), alg_mult=e.alg_mult,
-                geo_mult=e.geo_mult, case="real-nonzero",
-                condition=f"|{e.value:.6g}| > 0", ok=True))
+            add("real", (e.value,), e, "real-nonzero", f"|{e.value:.6g}| > 0", True)
 
     for p in structure.complex_pairs:
         value = (p.alpha, p.beta)
         if p.modulus <= zero_tol:
-            findings.append(Finding(
-                kind="pair", value=value, alg_mult=p.alg_mult,
-                geo_mult=p.geo_mult, case="pair-zero",
-                condition=f"modulus {p.modulus:.6g} <= {zero_tol:.3e}", ok=False))
-            singular = True
+            add("pair", value, p, "pair-zero",
+                f"modulus {p.modulus:.6g} <= {zero_tol:.3e}", False)
         elif is_borderline(p.alpha, p.beta, tol):
             borderline.append(value)
             if p.geo_mult == p.alg_mult:
-                findings.append(Finding(
-                    kind="pair", value=value, alg_mult=p.alg_mult,
-                    geo_mult=p.geo_mult, case="pair-borderline-semisimple",
-                    condition=f"|alpha| = |beta| within {tol:.3e}, non-defective",
-                    ok=True))
-                non_strict_only = True
+                add("pair", value, p, "pair-borderline-semisimple",
+                    f"|alpha| = |beta| within {tol:.3e}, non-defective", True)
             else:
-                findings.append(Finding(
-                    kind="pair", value=value, alg_mult=p.alg_mult,
-                    geo_mult=p.geo_mult, case="pair-borderline-defective",
-                    condition=f"|alpha| = |beta| within {tol:.3e}, "
-                              f"geometric {p.geo_mult} < algebraic {p.alg_mult}",
-                    ok=False))
-                impossible = True
+                add("pair", value, p, "pair-borderline-defective",
+                    f"|alpha| = |beta| within {tol:.3e}, "
+                    f"geometric {p.geo_mult} < algebraic {p.alg_mult}", False)
         elif abs(p.alpha) > abs(p.beta):
-            findings.append(Finding(
-                kind="pair", value=value, alg_mult=p.alg_mult,
-                geo_mult=p.geo_mult, case="pair-dominant",
-                condition=f"|{p.alpha:.6g}| > |{p.beta:.6g}|", ok=True))
+            add("pair", value, p, "pair-dominant",
+                f"|{p.alpha:.6g}| > |{p.beta:.6g}|", True)
         else:
-            findings.append(Finding(
-                kind="pair", value=value, alg_mult=p.alg_mult,
-                geo_mult=p.geo_mult, case="pair-subdominant",
-                condition=f"|{p.alpha:.6g}| < |{p.beta:.6g}|", ok=False))
-            impossible = True
+            add("pair", value, p, "pair-subdominant",
+                f"|{p.alpha:.6g}| < |{p.beta:.6g}|", False)
 
-    if singular:
+    # every boundary pair left once the failed cases are ruled out is semisimple
+    failed = {f.case for f in findings if not f.ok}
+    if failed & {"real-zero", "pair-zero"}:
         verdict = Verdict.OUT_OF_SCOPE_SINGULAR
-    elif impossible:
+    elif failed:
         verdict = Verdict.IMPOSSIBLE
-    elif non_strict_only:
+    elif borderline:
         verdict = Verdict.NON_STRICT_ONLY
     else:
         verdict = Verdict.STRICT_ACHIEVABLE

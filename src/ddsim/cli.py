@@ -5,11 +5,12 @@ Exit codes form a total function of the outcome taxonomy:
 
 * 0 - success (classify: strictly or non-strictly achievable)
 * 1 - input parse / file error
-* 2 - internal numerical failure (message names the error type); argparse
-      also exits 2 on a rejected argument, such as a non-finite ``--tol``
+* 2 - internal numerical failure (message names the error type)
 * 3 - refused: impossible verdict, unachievable target, or violated
       structural precondition
 * 4 - out of scope: input is (numerically) singular
+* 64 - usage error (``EX_USAGE``): argparse rejected an argument, such as a
+       non-finite ``--tol``
 """
 
 from __future__ import annotations
@@ -197,7 +198,11 @@ def _cmd_special(a, args):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a rejected argument, here the code of a numerical failure
+        raise SystemExit(64 if exc.code == 2 else exc.code) from None
     try:
         a = load_matrix(args.input, args.format)
     except MatrixParseError as exc:

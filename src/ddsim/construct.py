@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol,
-                       is_borderline)
-from .core import Axis, DominanceReport, as_matrix, is_diag_dominant, similarity_residual
+from .classify import BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol, is_borderline
+from .core import (Axis, DominanceReport, _diag_similarity, as_matrix, is_diag_dominant,
+                   similarity_residual)
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock,
                        RealJordanForm, _assemble_jordan, _Spectrum,
@@ -78,30 +78,41 @@ def _block_slack(block, target, borderline_tol):
     return slack
 
 
-def _chain_weights(blocks, slacks, margin):
-    """Diagonal weights: coordinate k of a chain gets rho**k; boundary cells
-    and length-1 chains stay at weight 1.
+def _scaled(blocks, j, slacks, margin):
+    """Weights ``d`` and ``diag(d) J diag(d)^{-1}`` for the canonical matrix
+    ``j`` of ``blocks``, given one slack per block.
 
-    Each unit coupling then shrinks to at most ``margin`` times the smallest
-    slack among the chains being scaled: ``rho = max(2, 2 / (margin *
-    min(slacks)))``, or 1 when there are no chains to scale.
+    Coordinate k of a chain gets weight ``rho**k``; length-1 chains, whose
+    slacks are never read, stay at weight 1.  Each unit coupling then shrinks
+    to at most ``margin`` times the smallest slack among the longer chains:
+    ``rho = max(2, 2 / (margin * min(slacks)))``, or 1 when there are none.
     """
-    rho = max(2.0, 2.0 / (margin * min(slacks))) if slacks else 1.0
+    chains = [(b.size, 1) if isinstance(b, RealJordanBlock) else (b.chain_length, 2)
+              for b in blocks]
+    long_slacks = [s for s, (length, _) in zip(slacks, chains) if length > 1]
+    rho = max(2.0, 2.0 / (margin * min(long_slacks))) if long_slacks else 1.0
     weights = []
-    for b in blocks:
-        if isinstance(b, RealJordanBlock):
-            weights.extend(rho ** k for k in range(b.size))
-        else:
-            for k in range(b.chain_length):
-                weights.extend((rho ** k, rho ** k))
-    return np.array(weights)
+    for length, cell in chains:
+        for k in range(length):
+            weights.extend((rho ** k,) * cell)
+    d = np.array(weights)
+    return d, _diag_similarity(j, d)
 
 
-def _diag_scale(mat, d):
-    """Exact diagonal similarity diag(d) @ mat @ diag(d)^{-1}."""
-    out = mat * (d[:, None] / d[None, :])
-    np.fill_diagonal(out, np.diag(mat))
-    return out
+def _verified(a, p, b, target, miss_message) -> SimilarityCertificate:
+    """The certificate for ``B = P A P^{-1}`` once the residual is within
+    ``certificate_tol`` and ``B`` meets ``target``; otherwise
+    :class:`IllConditionedJordan`, with ``miss_message`` for a missed target."""
+    residual = similarity_residual(a, p, b)
+    limit = certificate_tol(a)
+    if residual > limit:
+        raise IllConditionedJordan(
+            f"certificate residual {residual:.3e} exceeds tolerance {limit:.3e}")
+    dominance = is_diag_dominant(b, Axis.ROW, strict=(target is Target.STRICT), tol=0.0)
+    if not dominance.satisfied:
+        raise IllConditionedJordan(miss_message)
+    return SimilarityCertificate(P=p, B=b, dominance=dominance,
+                                 residual=residual, target=target)
 
 
 def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
@@ -119,19 +130,12 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     blocks = jordan.blocks
-    slacks = []
-    for b in blocks:
-        slack = _block_slack(b, target, borderline_tol)
-        if (b.size if isinstance(b, RealJordanBlock) else b.chain_length) > 1:
-            slacks.append(slack)
-    d = _chain_weights(blocks, slacks, margin)
-    b_mat = _diag_scale(jordan.J, d)
-
-    if target is Target.NON_STRICT:
+    slacks = [_block_slack(b, target, borderline_tol) for b in blocks]
+    d, b_mat = _scaled(blocks, jordan.J, slacks, margin)
+    if None in slacks:
         pos = 0
-        for b in blocks:
-            if (isinstance(b, ComplexJordanBlock)
-                    and is_borderline(b.alpha, b.beta, borderline_tol)):
+        for b, slack in zip(blocks, slacks):
+            if slack is None:
                 # pin the boundary cell at exact |alpha| = |beta|
                 mag = abs(b.alpha)
                 b_mat[pos, pos + 1] = mag
@@ -142,13 +146,13 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
 
 def build_real_dd_transform(a, target: Target = Target.STRICT,
                             tol: float = BORDERLINE_TOL,
-                            cluster_tol: float = CLUSTER_TOL,
-                            margin: float = MARGIN_FRACTION) -> SimilarityCertificate:
+                            cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
     """Real ``P`` with ``B = P A P^{-1}`` diagonally dominant, when possible.
 
     Raises :class:`NotAchievable` when the classification rules the target
     out, before any chain is built, and propagates Jordan failures.  The
-    verdict and the Jordan form come from one spectral pass.  The returned
+    verdict and the Jordan form come from one spectral pass.  Couplings
+    shrink to ``MARGIN_FRACTION`` of the chain slack.  The returned
     certificate is checked independently of the construction: dominance is
     recomputed from ``B`` and the residual from the triple.
     """
@@ -164,21 +168,11 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
             classification=verdict)
 
     jordan = spectrum.jordan_form()
-    d_mat, b_mat = scale_jordan_to_dd(jordan, target, margin, tol)
+    d_mat, b_mat = scale_jordan_to_dd(jordan, target, borderline_tol=tol)
     p = np.diag(d_mat)[:, None] * jordan.P
-    residual = similarity_residual(a, p, b_mat)
-    limit = certificate_tol(a)
-    if residual > limit:
-        raise IllConditionedJordan(
-            f"certificate residual {residual:.3e} exceeds tolerance {limit:.3e}")
-    dominance = is_diag_dominant(b_mat, Axis.ROW,
-                                 strict=(target is Target.STRICT), tol=0.0)
-    if not dominance.satisfied:
-        raise IllConditionedJordan(
-            "constructed matrix misses the dominance target; the input is too "
-            "close to a classification boundary")
-    return SimilarityCertificate(P=p, B=b_mat, dominance=dominance,
-                                 residual=residual, target=target)
+    return _verified(a, p, b_mat, target,
+                     "constructed matrix misses the dominance target; the input "
+                     "is too close to a classification boundary")
 
 
 #: Fixed 2x2 complex transform sending [[a, b], [-b, a]] to diag(a+bj, a-bj).
@@ -186,13 +180,13 @@ _CELL_DIAGONALIZER = np.array([[0.5j, 0.5], [0.5j, -0.5]])
 
 
 def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
-                               cluster_tol: float = CLUSTER_TOL,
-                               margin: float = MARGIN_FRACTION) -> SimilarityCertificate:
+                               cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
     """Complex ``P`` with ``B = P A P^{-1}`` strictly dominant in magnitude.
 
     Works for every nonsingular real input, including matrices whose real
     verdict is impossible: each rotation-like cell is diagonalised over the
-    complex numbers, then chain couplings are shrunk geometrically.  Raises
+    complex numbers, then chain couplings are shrunk geometrically to
+    ``MARGIN_FRACTION`` of the eigenvalue modulus.  Raises
     :class:`SingularInput` when an eigenvalue sits within ``tol`` of zero.
     """
     a = as_matrix(a)
@@ -211,29 +205,16 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     slacks = []
     for b in blocks:
         if isinstance(b, ComplexJordanBlock):
-            for c in range(b.chain_length):
-                r = pos + 2 * c
+            for r in range(pos, pos + b.dim, 2):
                 cell_map[r:r + 2, r:r + 2] = _CELL_DIAGONALIZER
-            if b.chain_length > 1:
-                slacks.append(float(np.hypot(b.alpha, b.beta)))
+            slacks.append(float(np.hypot(b.alpha, b.beta)) if b.chain_length > 1 else None)
         else:
-            if b.size > 1:
-                slacks.append(abs(b.eigenvalue))
+            slacks.append(abs(b.eigenvalue))
         pos += b.dim
 
-    d = _chain_weights(blocks, slacks, margin)
-    b_mat = _diag_scale(_assemble_jordan(blocks, n, diagonal_cells=True), d)
+    d, b_mat = _scaled(blocks, _assemble_jordan(blocks, n, diagonal_cells=True),
+                       slacks, MARGIN_FRACTION)
     p = d[:, None] * (cell_map @ jordan.P)
-
-    residual = similarity_residual(a, p, b_mat)
-    limit = certificate_tol(a)
-    if residual > limit:
-        raise IllConditionedJordan(
-            f"certificate residual {residual:.3e} exceeds tolerance {limit:.3e}")
-    dominance = is_diag_dominant(b_mat, Axis.ROW, strict=True, tol=0.0)
-    if not dominance.strict:
-        raise IllConditionedJordan(
-            "complex construction missed strict dominance; eigenvalues are too "
-            "close to zero for the working precision")
-    return SimilarityCertificate(P=p, B=b_mat, dominance=dominance,
-                                 residual=residual, target=Target.STRICT)
+    return _verified(a, p, b_mat, Target.STRICT,
+                     "complex construction missed strict dominance; eigenvalues "
+                     "are too close to zero for the working precision")

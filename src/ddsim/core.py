@@ -112,8 +112,8 @@ def is_diag_dominant(a, axis: Axis = Axis.ROW, strict: bool = False,
     a = _square(a)
     if tol is None:
         tol = default_dominance_tol(a)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     margins = np.abs(np.diag(a)) - _off_diagonal_sums(a, axis)
     return DominanceReport(
         axis=axis,
@@ -144,6 +144,24 @@ def gershgorin_discs(a, axis: Axis = Axis.ROW) -> list[GershgorinDisc]:
     ]
 
 
+def _singular_ratio(m) -> str | None:
+    """``"sv ratio lo / hi"`` when ``m`` is numerically singular, else None:
+    its smallest singular value is below ``SINGULAR_SV_RTOL`` times the
+    largest, or the largest is 0."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
+        return f"sv ratio {sv[-1]:.3e} / {sv[0]:.3e}"
+    return None
+
+
+def _diag_similarity(a, d) -> np.ndarray:
+    """Exact diagonal similarity ``diag(d) @ a @ diag(d)^{-1}``: each
+    off-diagonal entry scaled by ``d_i / d_j``, the diagonal copied."""
+    out = a * (d[:, None] / d[None, :])
+    np.fill_diagonal(out, np.diag(a))
+    return out
+
+
 def similarity_residual(a, p, b) -> float:
     """Relative failure of ``b = p a p^{-1}``: ||pa - bp||_F / (||a||_F + 1).
 
@@ -155,9 +173,7 @@ def similarity_residual(a, p, b) -> float:
     b = _square(b)
     if not (a.shape == p.shape == b.shape):
         raise ValueError("a, p, b must share one square shape")
-    sv = np.linalg.svd(p, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
-        raise SingularTransform(
-            f"transform is numerically singular (sv ratio {sv[-1]:.3e} / {sv[0]:.3e})"
-        )
+    ratio = _singular_ratio(p)
+    if ratio:
+        raise SingularTransform(f"transform is numerically singular ({ratio})")
     return float(np.linalg.norm(p @ a - b @ p) / (np.linalg.norm(a) + 1.0))

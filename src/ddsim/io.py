@@ -56,7 +56,7 @@ def parse_json_matrix(text: str) -> np.ndarray:
         raise MatrixParseError('expected an object with "n" and "rows"')
     n = doc["n"]
     rows = doc["rows"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MatrixParseError('"n" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixParseError(f'"rows" must hold {n} rows')

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Axis, DominanceReport, SINGULAR_SV_RTOL, as_matrix,
-                   comparison_matrix, is_diag_dominant)
+from .core import (Axis, DominanceReport, _diag_similarity, _singular_ratio,
+                   as_matrix, comparison_matrix, is_diag_dominant)
 from .errors import NumericallySingular, PreconditionViolated
 
 #: Default tolerance on eigenvalue real parts for Hurwitz / M-matrix tests.
@@ -74,11 +74,9 @@ def is_h_matrix(a, tol: float = HURWITZ_TOL) -> bool:
 
 def _positive_scaling(a) -> ScalingCertificate:
     m = comparison_matrix(a)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
-        raise NumericallySingular(
-            f"comparison matrix is numerically singular "
-            f"(sv ratio {sv[-1]:.3e} / {sv[0]:.3e})")
+    ratio = _singular_ratio(m)
+    if ratio:
+        raise NumericallySingular(f"comparison matrix is numerically singular ({ratio})")
     d = np.linalg.solve(m, np.ones(a.shape[0]))
     if np.any(d <= 0.0):
         raise NumericallySingular(
@@ -86,8 +84,7 @@ def _positive_scaling(a) -> ScalingCertificate:
             "not a usable M-matrix at working precision")
     # K = diag(d)^{-1}, rescaled so its largest entry is exactly 1
     k = d.min() / d
-    b = a * (k[:, None] / k[None, :])
-    np.fill_diagonal(b, np.diag(a))
+    b = _diag_similarity(a, k)
     dominance = is_diag_dominant(b, Axis.ROW, strict=True, tol=0.0)
     if not dominance.strict:
         raise NumericallySingular(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, similarity_residual, SINGULAR_SV_RTOL
+from .core import _singular_ratio, as_matrix, similarity_residual
 from .errors import ClusterAmbiguity, IllConditionedJordan
 
 #: Default relative eigenvalue clustering tolerance.
@@ -369,10 +369,9 @@ class _Spectrum:
             raise IllConditionedJordan(
                 "block dimensions do not add up to the matrix dimension")
         q = np.column_stack(columns)
-        sv = np.linalg.svd(q, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
-            raise IllConditionedJordan(
-                f"Jordan basis is numerically singular (sv ratio {sv[-1]:.3e} / {sv[0]:.3e})")
+        ratio = _singular_ratio(q)
+        if ratio:
+            raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
         p = np.linalg.inv(q)
         j = _assemble_jordan(blocks, n)
         residual = similarity_residual(a, p, j)

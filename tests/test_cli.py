@@ -60,6 +60,14 @@ def test_classify_singular_exit_code(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "OutOfScopeSingular"
 
 
+def test_json_boolean_n_is_rejected(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"n": True, "rows": [[-2]]}))
+    code, out, err = run(capsys, ["classify", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert '"n" must be a positive integer' in err
+
+
 def test_classify_malformed_csv(tmp_path, capsys):
     path = write_csv(tmp_path, "bad.csv", "1,oops\n3,4\n")
     code, out, err = run(capsys, ["classify", "--input", path])
@@ -208,7 +216,7 @@ def test_unused_seed_flag_is_rejected(tmp_path, capsys):
     path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
     with pytest.raises(SystemExit) as info:
         main(["classify", "--input", path, "--seed", "1"])
-    assert info.value.code == 2
+    assert info.value.code == 64
     assert "--seed" in capsys.readouterr().err
 
 
@@ -221,6 +229,18 @@ def parse_error(capsys, argv):
     return info.value.code, captured.err
 
 
+def test_numerical_failure_and_usage_error_exit_codes_differ(tmp_path, capsys):
+    # eigenvalues 1.5x the clustering band apart: the grouping is ambiguous
+    gap = 1.5e-7 * (1.0 + np.sqrt(2.0))
+    path = write_json(tmp_path, "a.json", [[1.0, 0.0], [0.0, 1.0 + gap]])
+    code, out, err = run(capsys, ["classify", "--input", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: ClusterAmbiguity: ")
+    code, err = parse_error(capsys, ["classify", "--input", path, "--tol", "nan"])
+    assert code == 64
+    assert "--tol" in err
+
+
 BOUNDARY_PAIR = [[-1, 1], [-1, -1]]
 
 
@@ -229,7 +249,7 @@ BOUNDARY_PAIR = [[-1, 1], [-1, -1]]
 def test_non_finite_or_negative_tol_is_rejected(tmp_path, capsys, head, tol):
     path = write_json(tmp_path, "a.json", BOUNDARY_PAIR)
     code, err = parse_error(capsys, [*head, "--input", path, f"--tol={tol}"])
-    assert code == 2
+    assert code == 64
     assert "--tol" in err
 
 
@@ -246,7 +266,7 @@ def test_gershgorin_takes_no_tol(tmp_path, capsys):
     path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
     code, err = parse_error(capsys, ["gershgorin", "--input", path, "--tol", "1e-9",
                                      "--out", str(tmp_path / "discs.svg")])
-    assert code == 2
+    assert code == 64
     assert "--tol" in err
 
 
@@ -309,7 +329,7 @@ def test_shared_parser_gives_the_same_bytes_in_any_order(capsys, criterion_9_arg
     forward = [run(capsys, argv) for argv in criterion_9_argvs]
     code, _ = parse_error(capsys, ["classify", "--input", criterion_9_argvs[0][2],
                                    "--tol", "nan"])
-    assert code == 2
+    assert code == 64
     backward = [run(capsys, argv) for argv in reversed(criterion_9_argvs)]
     assert backward[::-1] == forward
 
@@ -323,5 +343,5 @@ def test_extending_a_built_parser_leaves_main_unchanged(tmp_path, capsys):
     parser.add_argument("--extra")
     assert run(capsys, ["classify", "--input", path]) == before
     code, err = parse_error(capsys, ["--extra", "1", "classify", "--input", path])
-    assert code == 2
+    assert code == 64
     assert err.startswith("usage: ddsim ")

@@ -193,3 +193,81 @@ def test_diagonal_preserved_by_scaling():
         jf = real_jordan_form(a)
         _, b = scale_jordan_to_dd(jf, Target.STRICT)
         np.testing.assert_array_equal(np.diag(b), np.diag(jf.J))
+
+
+@pytest.mark.parametrize("margin", [0.0, 1.0, -1.0, float("nan")])
+def test_scale_jordan_rejects_margin_outside_unit_interval(margin):
+    jf = real_jordan_form(np.array([[-2.0, 1.0], [0.0, -2.0]]))
+    with pytest.raises(ValueError, match="margin"):
+        scale_jordan_to_dd(jf, Target.STRICT, margin=margin)
+
+
+def _hex(m):
+    """Exact bits of a real matrix, one string per row."""
+    return [" ".join(float(x).hex() for x in row) for row in m]
+
+
+def test_real_strict_build_bits_on_transformed_chain():
+    # a length-2 chain at -2 in a rotated basis: the weights 1, 2 halve the coupling
+    cert = build_real_dd_transform([[-1, 1], [-1, -3]], Target.STRICT)
+    assert _hex(cert.P) == [
+        "-0x1.6a09e667f3bcbp-1 0x1.6a09e667f3bcdp-1",
+        "-0x1.6a09e667f3bccp+1 -0x1.6a09e667f3bccp+1"]
+    assert _hex(cert.B) == [
+        "-0x1.0000000000000p+1 0x1.0000000000000p-1",
+        "0x0.0p+0 -0x1.0000000000000p+1"]
+
+
+def test_real_non_strict_build_bits_pin_boundary_beside_scaled_chain():
+    # a chain at -3 (scaled) next to the boundary pair -1 +/- 1j (pinned)
+    a = [[-3, 1, -1, -2], [-1, -1, 2, 0], [1, 0, -2, 1], [-1, -1, 0, -2]]
+    cert = build_real_dd_transform(a, Target.NON_STRICT)
+    assert _hex(cert.P) == [
+        "0x1.3988e1409212ep-52 -0x1.6764ae85ae0f2p-52 0x1.bb67ae8584cabp+0 "
+        "0x1.5f127039bfdd9p-52",
+        "0x1.bb67ae8584cadp+1 0x1.710f64c63cfc5p-52 0x1.bb67ae8584cabp+1 "
+        "0x1.bb67ae8584cabp+1",
+        "0x1.3988e14092130p-51 0x1.bb67ae8584ca8p+0 0x1.bb67ae8584caep+0 "
+        "0x1.4c4da8bd28f84p-51",
+        "0x1.3988e14092139p-52 0x1.83fab8b4d4319p-50 0x1.bb67ae8584cb2p+0 "
+        "0x1.bb67ae8584cacp+0"]
+    assert _hex(cert.B) == [
+        "-0x1.8000000000000p+1 0x1.0000000000000p-1 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 -0x1.8000000000000p+1 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 -0x1.ffffffffffffep-1 0x1.ffffffffffffep-1",
+        "0x0.0p+0 0x0.0p+0 -0x1.ffffffffffffep-1 -0x1.ffffffffffffep-1"]
+
+
+def test_complex_build_bits_on_transformed_pair_chain():
+    # a length-2 chain of the pair -1 +/- 2j, real verdict impossible
+    a = [[2, 4, 3, -2], [-4, 0, -2, -1], [-3, -6, -4, 4], [-6, 1, -4, -2]]
+    cert = build_complex_dd_transform(a)
+    assert _hex(cert.P.real) == [
+        "-0x1.d2d62188b5d8dp+0 -0x1.4d9be2e6bce93p-1 -0x1.b830e1ceb7430p-1 "
+        "-0x1.aa53fb9fe9819p-4",
+        "0x1.d2d62188b5d8dp+0 0x1.4d9be2e6bce93p-1 0x1.b830e1ceb7430p-1 "
+        "0x1.aa53fb9fe9819p-4",
+        "-0x1.ed7b6142b4701p+0 0x1.82e6625aba1a1p+0 -0x1.ed7b6142b46e9p+0 "
+        "-0x1.82e6625aba19ap+0",
+        "0x1.ed7b6142b4701p+0 -0x1.82e6625aba1a1p+0 0x1.ed7b6142b46e9p+0 "
+        "0x1.82e6625aba19ap+0"]
+    assert _hex(cert.P.imag) == [
+        "-0x1.4d9be2e6bcf2dp-1 0x1.d2d62188b5d86p+0 0x1.aa53fb9fe92b4p-4 "
+        "-0x1.b830e1ceb7438p-1",
+        "-0x1.4d9be2e6bcf2dp-1 0x1.d2d62188b5d86p+0 0x1.aa53fb9fe92b4p-4 "
+        "-0x1.b830e1ceb7438p-1",
+        "-0x1.82e6625aba16fp+0 -0x1.ed7b6142b46dap+0 -0x1.82e6625aba17ep+0 "
+        "0x1.ed7b6142b46e2p+0",
+        "-0x1.82e6625aba16fp+0 -0x1.ed7b6142b46dap+0 -0x1.82e6625aba17ep+0 "
+        "0x1.ed7b6142b46e2p+0"]
+    lam = "-0x1.ffffffffffffbp-1"
+    assert _hex(cert.B.real) == [
+        f"{lam} 0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0",
+        f"0x0.0p+0 {lam} 0x0.0p+0 0x1.0000000000000p-1",
+        f"0x0.0p+0 0x0.0p+0 {lam} 0x0.0p+0",
+        f"0x0.0p+0 0x0.0p+0 0x0.0p+0 {lam}"]
+    assert _hex(cert.B.imag) == [
+        "0x1.ffffffffffff8p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 -0x1.ffffffffffff8p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x1.ffffffffffff8p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.ffffffffffff8p+0"]

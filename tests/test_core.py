@@ -97,6 +97,12 @@ def test_as_matrix_rejects(bad):
         as_matrix(bad)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_dominance_rejects_negative_or_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        is_diag_dominant([[-3, 1], [1, -3]], Axis.ROW, strict=True, tol=tol)
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_transpose_duality(a):

@@ -78,6 +78,19 @@ def test_h_scaling_sign_flipped_case():
     assert cert.diagonal_sign is DiagonalSign.ALL_NEGATIVE
 
 
+def test_h_scaling_bits_on_non_dominant_input():
+    # row 0 is not dominant; K = diag(d)^{-1} from M_A d = 1, largest entry 1
+    cert = h_matrix_scaling([[-2, 3, 0], [1, -3, 1], [0, -1, -2]])
+    hexes = [[float(x).hex() for x in row] for row in [*cert.K, *cert.B]]
+    assert hexes == [
+        ["0x1.b6db6db6db6dap-2", "0x0.0p+0", "0x0.0p+0"],
+        ["0x0.0p+0", "0x1.7ffffffffffffp-1", "0x0.0p+0"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        ["-0x1.0000000000000p+1", "0x1.b6db6db6db6dbp+0", "0x0.0p+0"],
+        ["0x1.c000000000000p+0", "-0x1.8000000000000p+1", "0x1.7ffffffffffffp-1"],
+        ["0x0.0p+0", "-0x1.5555555555556p+0", "-0x1.0000000000000p+1"]]
+
+
 def test_h_scaling_agrees_with_metzler_on_metzler_input():
     a = np.array([[-2.0, 1.0], [1.0, -2.0]])
     cm = metzler_hurwitz_scaling(a)
