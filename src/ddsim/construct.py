@@ -10,6 +10,7 @@ any nonsingular real matrix ends up strictly dominant in the magnitude sense.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,27 @@ def _scaled(blocks, j, slacks, margin):
     slacks are never read, stay at weight 1.  Each unit coupling then shrinks
     to at most ``margin`` times the smallest slack among the longer chains:
     ``rho = max(2, 2 / (margin * min(slacks)))``, or 1 when there are none.
+    Raises :class:`IllConditionedJordan` when a weight is not a finite float.
     """
     chains = [(b.size, 1) if isinstance(b, RealJordanBlock) else (b.chain_length, 2)
               for b in blocks]
     long_slacks = [s for s, (length, _) in zip(slacks, chains) if length > 1]
-    rho = max(2.0, 2.0 / (margin * min(long_slacks))) if long_slacks else 1.0
+    if long_slacks:
+        floor = margin * min(long_slacks)
+        # a floor that underflows to 0 leaves no finite rho
+        rho = max(2.0, 2.0 / floor) if floor > 0.0 else math.inf
+    else:
+        rho = 1.0
+    # rho >= 1, so the top weight of the longest chain is the largest
+    top = max((length for length, _ in chains), default=1) - 1
+    try:
+        finite = math.isfinite(rho ** top)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise IllConditionedJordan(
+            f"chain weight rho**{top} overflows (rho = {rho:.3e}); the margin "
+            "or the smallest chain slack is too small")
     weights = []
     for length, cell in chains:
         for k in range(length):

@@ -115,31 +115,68 @@ def _batch_margins(b_stack):
     return np.maximum(row, col)
 
 
+def _screened(batch):
+    """The candidates of ``batch`` with condition number at most ``COND_LIMIT``,
+    and their inverses.
+
+    One batched inverse serves both the screen and the search:
+    ``||P||_F * ||P^{-1}||_F`` is never below ``cond_2(P)``, so a candidate
+    whose bound is at most half the limit passes without an SVD.  Only the
+    rest, and a bound that is not finite, get ``np.linalg.cond``.  The
+    factor 2 exceeds the rounding error of the bound and of the SVD's
+    condition number (about ``cond * eps`` relative), so the kept set is the
+    one ``np.linalg.cond`` alone would keep.
+    """
+    try:
+        inverse = np.linalg.inv(batch)
+    except np.linalg.LinAlgError:
+        # an exactly singular candidate: screen every one by its SVD first
+        conds = np.linalg.cond(batch)
+        batch = batch[np.isfinite(conds) & (conds <= COND_LIMIT)]
+        return batch, np.linalg.inv(batch)
+    bound = np.linalg.norm(batch, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    doubtful = np.flatnonzero(~(bound <= 0.5 * COND_LIMIT))
+    if not doubtful.size:
+        return batch, inverse
+    conds = np.linalg.cond(batch[doubtful])
+    keep = np.ones(len(batch), dtype=bool)
+    keep[doubtful] = np.isfinite(conds) & (conds <= COND_LIMIT)
+    return batch[keep], inverse[keep]
+
+
 def random_similarity_search(a, trials: int = 1000, seed: int = 0,
                              strict: bool = False) -> RandomSearchResult:
     """Try ``trials`` random well-conditioned transforms on ``a``.
 
     The identity is always the first candidate; the rest have standard
     normal entries, rejected (not counted) when the condition number
-    exceeds ``COND_LIMIT``.  A candidate qualifies when ``P A P^{-1}`` is
-    diagonally dominant on either axis.  Results are deterministic given
-    the seed.  Failure to find a witness is evidence, not proof.
+    exceeds ``COND_LIMIT``.  Each drawn candidate is inverted once, and
+    the Frobenius bound ``||P||_F * ||P^{-1}||_F >= cond_2(P)`` screens it;
+    only a candidate whose bound exceeds ``COND_LIMIT / 2`` pays for an
+    exact condition number (one SVD).  A candidate qualifies when
+    ``P A P^{-1}`` is diagonally dominant on either axis.
+
+    ``seed`` must be an integer >= 0 (numpy integers included); the
+    candidate stream, and so the result, is a function of ``a``,
+    ``trials``, ``seed`` and ``strict`` alone.  Failure to find a witness
+    is evidence, not proof.
     """
     a = as_matrix(a)
     _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     n = a.shape[0]
     rng = np.random.default_rng(seed)
 
     examined = 0
     best = -np.inf
-    batch = np.eye(n)[None, :, :]
+    batch = inverse = np.eye(n)[None, :, :]
     while True:
-        transformed = batch @ a @ np.linalg.inv(batch)
+        transformed = batch @ a @ inverse
         scores = _batch_margins(transformed)
         qualifying = np.flatnonzero(scores > 0.0 if strict else scores >= 0.0)
         for idx in qualifying:
             p = batch[idx]
-            b = p @ a @ np.linalg.inv(p)
+            b = p @ a @ inverse[idx]
             ok_row = is_diag_dominant(b, Axis.ROW, strict=strict, tol=0.0).satisfied
             ok_col = is_diag_dominant(b, Axis.COLUMN, strict=strict, tol=0.0).satisfied
             if ok_row or ok_col:
@@ -155,6 +192,5 @@ def random_similarity_search(a, trials: int = 1000, seed: int = 0,
         # Draw no more candidates than the trials left: a smaller draw is a
         # prefix of the larger one, so the candidate stream is the same
         # whatever the batch size.
-        batch = rng.standard_normal((min(_BATCH, trials - examined), n, n))
-        conds = np.linalg.cond(batch)
-        batch = batch[np.isfinite(conds) & (conds <= COND_LIMIT)]
+        batch, inverse = _screened(
+            rng.standard_normal((min(_BATCH, trials - examined), n, n)))

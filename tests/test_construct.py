@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from _gen import spectrum_matrix
 from ddsim import (Axis, Target, build_complex_dd_transform,
                    build_real_dd_transform, certificate_tol, is_diag_dominant,
                    real_jordan_form, scale_jordan_to_dd, similarity_residual)
-from ddsim.errors import NotAchievable, PreconditionViolated, SingularInput
+from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
+                          SingularInput)
 
 
 def _check_certificate(a, cert):
@@ -199,6 +202,20 @@ def test_diagonal_preserved_by_scaling():
 def test_scale_jordan_rejects_margin_outside_unit_interval(margin):
     jf = real_jordan_form(np.array([[-2.0, 1.0], [0.0, -2.0]]))
     with pytest.raises(ValueError, match="margin"):
+        scale_jordan_to_dd(jf, Target.STRICT, margin=margin)
+
+
+@pytest.mark.parametrize("a, margin, k", [
+    # rho = 1e200: rho**1 is finite, rho**2 overflows
+    ([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]], 1e-200, 2),
+    # 2 / (margin * slack) overflows to inf
+    ([[-2.0, 1.0], [0.0, -2.0]], 1e-309, 1),
+    # margin * slack underflows to 0
+    ([[-0.25, 1.0], [0.0, -0.25]], 5e-324, 1),
+])
+def test_scale_jordan_refuses_overflowing_chain_weight(a, margin, k):
+    jf = real_jordan_form(np.array(a))
+    with pytest.raises(IllConditionedJordan, match=re.escape(f"chain weight rho**{k} ")):
         scale_jordan_to_dd(jf, Target.STRICT, margin=margin)
 
 

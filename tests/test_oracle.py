@@ -164,21 +164,83 @@ def test_search_matches_recorded_results(a, kwargs, expected):
     assert (res.found, witness, res.best_margin, res.samples) == expected
 
 
-@pytest.mark.parametrize("trials", [2000, 5000])
-def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
-    checked = []
-    cond = np.linalg.cond
+# Results recorded with the SVD screen that preceded the Frobenius-bound
+# screen: the criterion 7 chain over three refills, a 6x6 input over one
+# full refill and, with ``COND_LIMIT`` lowered, streams in which the exact
+# condition check rejects candidates.
+_CHAIN = [[-1.0, 1.0, 1.0, 0.0], [-1.0, -1.0, 0.0, 1.0],
+          [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, -1.0, -1.0]]
+_SIX = [[1.1, 1.8, -2.6, -0.1, 1.0, 1.4], [0.7, 1.5, 0.3, 0.6, 0.2, -1.1],
+        [-0.8, 0.4, -0.6, 1.3, 1.3, 1.8], [0.0, 1.4, -0.9, -0.8, 0.1, 0.3],
+        [-1.6, -1.7, 0.4, -0.9, 1.2, 0.4], [0.3, 0.2, 0.9, -0.2, 1.1, -0.5]]
+_PAIR_3 = [[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.0, 0.0, -1.0]]
+SCALE_GOLDEN = [
+    (_CHAIN, {"trials": 9000, "seed": 42}, 1e12, "-0x1.b92aa54276cf8p-1", 9000),
+    (_SIX, {"trials": 4097, "seed": 7}, 1e12, "-0x1.143707e6bda8cp+2", 4097),
+    (_SIX, {"trials": 4097, "seed": 7, "strict": True}, 1e12,
+     "-0x1.143707e6bda8cp+2", 4097),
+    (_ROT, {"trials": 2000, "seed": 1}, 5.0, "-0x1.1338474f8f9f0p-2", 2000),
+    (_ROT, {"trials": 2000, "seed": 1}, 30.0, "-0x1.4f88c179d4100p-4", 2000),
+    (_PAIR_3, {"trials": 4097, "seed": 3}, 5.0, "-0x1.037a5ab5eff08p+0", 4097),
+    (_PAIR_3, {"trials": 4097, "seed": 3}, 30.0, "-0x1.fd7437119d806p-1", 4097),
+]
+
+
+@pytest.mark.parametrize("a, kwargs, limit, margin_hex, samples", SCALE_GOLDEN)
+def test_search_matches_recorded_results_at_scale(monkeypatch, a, kwargs, limit,
+                                                  margin_hex, samples):
+    monkeypatch.setattr(ddsim.oracle, "COND_LIMIT", limit)
+    res = random_similarity_search(np.array(a), **kwargs)
+    assert not res.found and res.witness is None
+    assert (res.best_margin.hex(), res.samples) == (margin_hex, samples)
+
+
+def _counting(monkeypatch, name):
+    rows = []
+    wrapped = getattr(np.linalg, name)
 
     def counting(batch, *args, **kwargs):
-        checked.append(len(batch))
-        return cond(batch, *args, **kwargs)
+        rows.append(len(batch) if np.ndim(batch) == 3 else None)
+        return wrapped(batch, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cond", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
+    return rows
+
+
+@pytest.mark.parametrize("trials", [2000, 5000])
+def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
+    inverted = _counting(monkeypatch, "inv")
+    conditioned = _counting(monkeypatch, "cond")
     res = random_similarity_search(np.array(_ROT), trials=trials, seed=1)
     assert res.samples == trials
-    # the identity is examined without a condition check
-    assert sum(checked) == trials - 1
-    assert max(checked) <= ddsim.oracle._BATCH
+    # every drawn candidate is inverted once, in its batch; the identity is
+    # examined without an inverse
+    assert None not in inverted
+    assert sum(inverted) == trials - 1
+    assert max(inverted) <= ddsim.oracle._BATCH
+    # every bound of this stream is within COND_LIMIT / 2: no SVD is paid
+    assert conditioned == []
+
+
+def test_search_screens_by_svd_when_a_batch_will_not_invert(monkeypatch):
+    expected = random_similarity_search(np.array(_ROT), trials=5000, seed=1)
+    inv = np.linalg.inv
+    calls = []
+
+    def singular_once(batch, *args, **kwargs):
+        calls.append(len(batch))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(batch, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_once)
+    conditioned = _counting(monkeypatch, "cond")
+    res = random_similarity_search(np.array(_ROT), trials=5000, seed=1)
+    assert (res.found, res.best_margin, res.samples) == (
+        expected.found, expected.best_margin, expected.samples)
+    # the failed batch is condition-checked, then its kept candidates inverted
+    assert conditioned == [ddsim.oracle._BATCH]
+    assert calls[:2] == [ddsim.oracle._BATCH, ddsim.oracle._BATCH]
 
 
 @pytest.mark.parametrize("bad", [
@@ -204,6 +266,14 @@ def test_search_rejects_non_integer_trials(trials):
         random_similarity_search(np.array(_ROT), trials=trials)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1])
+def test_search_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        random_similarity_search(np.array(_ROT), trials=3, seed=seed)
+
+
 def test_counts_accept_numpy_integers():
     assert grid_search_2x2(-1.5, 1.0, steps=np.int64(2)).samples == 12
     assert random_similarity_search(np.array(_ROT), trials=np.int32(3)).samples == 3
+    res = random_similarity_search(np.array(_ROT), trials=2000, seed=np.uint8(1))
+    assert res == random_similarity_search(np.array(_ROT), trials=2000, seed=1)
