@@ -193,8 +193,11 @@ def params_feasible(alpha: float, beta: float, x: float, y: float,
     """Do both row-dominance inequalities hold for the parametrised matrix?
 
     Non-strict form: ``|alpha - x| >= sqrt(beta^2+x^2)/|y|`` and
-    ``|alpha + x| >= |y| sqrt(beta^2+x^2)``.
+    ``|alpha + x| >= |y| sqrt(beta^2+x^2)``.  Raises ``ValueError`` for a
+    non-finite argument.
     """
+    if not all(map(math.isfinite, (alpha, beta, x, y))):
+        raise ValueError("alpha, beta, x and y must be finite")
     if beta == 0:
         raise ValueError("beta must be nonzero")
     if y == 0:

@@ -67,6 +67,14 @@ def grid_search_2x2(alpha: float, beta: float,
     point in scan order (x outer, y inner, negative y before positive);
     ``best_margin`` is the largest min-row margin seen over the whole grid
     (negative when every point violates dominance).
+
+    The results are those of evaluating every grid point, at a cost of
+    O(steps log steps) margins and O(steps) memory: each x row's best
+    margin is found by bisection over |y|, and only the first row that
+    holds a feasible point is evaluated in full.  Raises ``ValueError``
+    when the grid overflows, that is when an ``x``, ``hypot(beta, x)`` or
+    ``|alpha -+ x|`` is not finite (for instance a range so wide that its
+    step overflows).
     """
     if not np.isfinite([alpha, beta, *x_range, *y_abs_range]).all():
         raise ValueError("alpha, beta and the range endpoints must be finite")
@@ -80,25 +88,48 @@ def grid_search_2x2(alpha: float, beta: float,
     if not 0.0 < y_lo <= y_hi:
         raise ValueError("y magnitude range must be positive")
 
-    xs = _with_anchor(np.linspace(x_lo, x_hi, steps), x_lo, x_hi, 0.0)
-    mags = _with_anchor(np.logspace(np.log10(y_lo), np.log10(y_hi), steps // 2),
-                        y_lo, y_hi, 1.0)
+    # An overflowing x, r or |alpha -+ x| is an error, checked below; an
+    # overflowing r / |y| or r * |y| is a margin of -inf.
+    with np.errstate(all="ignore"):
+        xs = _with_anchor(np.linspace(x_lo, x_hi, steps), x_lo, x_hi, 0.0)
+        r = np.hypot(beta, xs)
+        d1 = np.abs(alpha - xs)
+        d2 = np.abs(alpha + xs)
+        if not all(np.isfinite(v).all() for v in (r, d1, d2)):
+            raise ValueError("the grid overflows: x, hypot(beta, x) and "
+                             "|alpha -+ x| must be finite")
+        mags = _with_anchor(np.logspace(np.log10(y_lo), np.log10(y_hi), steps // 2),
+                            y_lo, y_hi, 1.0)
+        n = len(mags)
+        samples = len(xs) * 2 * n
 
-    # The margins depend on |y| only, so each magnitude is evaluated once and
-    # stands for both y = -|y| and y = +|y|.  The negative half comes first in
-    # scan order, so the first feasible point has y = -mags[j].
-    r = np.hypot(beta, xs)[:, None]
-    m1 = np.abs(alpha - xs)[:, None] - r / mags
-    m2 = np.abs(alpha + xs)[:, None] - r * mags
-    margins = np.minimum(m1, m2)
+        # Along a row, m1 = d1 - r / |y| never falls and m2 = d2 - r * |y|
+        # never rises as |y| grows (rounded arithmetic is monotone), so
+        # m1 < m2 holds on a prefix of mags.  Bisect for its length in every
+        # row at once; the row's best min(m1, m2) is max(m1[cut - 1], m2[cut]).
+        # ext is mags between a 0, where m1 is -inf, and infs, where m2 is
+        # -inf and m1 >= m2, so no index needs a bounds test.  Each margin
+        # is the full scan's expression, so it equals that scan's bit for bit.
+        k = n.bit_length()
+        ext = np.concatenate(([0.0], mags, np.full((1 << k) - n, np.inf)))
+        cut = np.zeros(len(xs), dtype=np.intp)
+        for b in reversed(range(k)):
+            m = ext[cut + (1 << b)]
+            cut += (d1 - r / m < d2 - r * m) << b
+        row_best = np.maximum(d1 - r / ext[cut], d2 - r * ext[cut + 1])
+
+        best = float(row_best.max())
+        rows = np.flatnonzero(row_best > 0.0 if strict else row_best >= 0.0)
+        if not rows.size:
+            return GridSearchResult(found=False, witness=None,
+                                    best_margin=best, samples=samples)
+        i = rows[0]
+        margins = np.minimum(d1[i] - r[i] / mags, d2[i] - r[i] * mags)
     feasible = margins > 0.0 if strict else margins >= 0.0
-
-    best = float(margins.max())
-    samples = len(xs) * 2 * len(mags)
-    if not feasible.any():
-        return GridSearchResult(found=False, witness=None,
-                                best_margin=best, samples=samples)
-    i, j = np.unravel_index(int(np.argmax(feasible)), margins.shape)
+    # The margins depend on |y| only, so each magnitude stands for both
+    # y = -|y| and y = +|y|.  The negative half comes first in scan order,
+    # so the first feasible point has y = -mags[j].
+    j = int(np.argmax(feasible))
     witness = TwoByTwoParams(alpha=float(alpha), beta=float(beta),
                              x=float(xs[i]), y=float(-mags[j]))
     return GridSearchResult(found=True, witness=witness,

@@ -138,6 +138,17 @@ def test_params_feasible_strict_at_boundary():
     assert not params_feasible(-1.0, 1.0, 0.0, 1.0, strict=True)
 
 
+@pytest.mark.parametrize("bad", [
+    {"alpha": math.inf}, {"alpha": math.nan}, {"beta": -math.inf},
+    {"beta": math.nan}, {"x": math.inf}, {"x": math.nan}, {"y": -math.inf},
+    {"y": math.nan},
+])
+def test_params_feasible_rejects_non_finite_arguments(bad):
+    args = {"alpha": -2.0, "beta": 1.0, "x": 0.0, "y": 1.0, **bad}
+    with pytest.raises(ValueError, match="finite"):
+        params_feasible(**args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-5, 5), st.floats(0.1, 5), st.floats(-20, 20),
        st.floats(0.05, 20), st.booleans())

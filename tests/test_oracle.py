@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddsim.oracle
 
@@ -150,6 +155,72 @@ SEARCH_GOLDEN = [
 ]
 
 
+def _dense_grid(alpha, beta, x_range=(-10.0, 10.0), y_abs_range=(0.01, 10.0),
+                steps=400, strict=False):
+    """The full broadcast scan: every (x, |y|) margin of the grid at once."""
+    x_lo, x_hi = x_range
+    y_lo, y_hi = y_abs_range
+    xs = ddsim.oracle._with_anchor(np.linspace(x_lo, x_hi, steps), x_lo, x_hi, 0.0)
+    mags = ddsim.oracle._with_anchor(
+        np.logspace(np.log10(y_lo), np.log10(y_hi), steps // 2), y_lo, y_hi, 1.0)
+    r = np.hypot(beta, xs)[:, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        m1 = np.abs(alpha - xs)[:, None] - r / mags
+        m2 = np.abs(alpha + xs)[:, None] - r * mags
+    margins = np.minimum(m1, m2)
+    feasible = margins > 0.0 if strict else margins >= 0.0
+    witness = None
+    if feasible.any():
+        i, j = np.unravel_index(int(np.argmax(feasible)), margins.shape)
+        witness = (float(xs[i]), float(-mags[j]))
+    return (bool(feasible.any()), witness, float(margins.max()),
+            len(xs) * 2 * len(mags))
+
+
+def _bits(found, witness, best_margin, samples):
+    """A result with every float as its hex string, so equal means bit-equal."""
+    witness = None if witness is None else tuple(v.hex() for v in witness)
+    return found, witness, best_margin.hex(), samples
+
+
+def _grid_bits(alpha, beta, **kwargs):
+    res = grid_search_2x2(alpha, beta, **kwargs)
+    witness = None if res.witness is None else (res.witness.x, res.witness.y)
+    return _bits(res.found, witness, res.best_margin, res.samples)
+
+
+@st.composite
+def _grid_cases(draw):
+    beta = 10.0 ** draw(st.floats(-8, 8)) * draw(st.sampled_from([-1.0, 1.0]))
+    if draw(st.booleans()):
+        # a boundary pair, |alpha| within a few ulps of |beta|
+        alpha = abs(beta) * draw(st.sampled_from([-1.0, 1.0]))
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            alpha = float(np.nextafter(alpha, np.inf if ulps > 0 else -np.inf))
+    else:
+        alpha = 10.0 ** draw(st.floats(-8, 8)) * draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    width = 10.0 ** draw(st.floats(-3, 3))
+    x_lo, x_hi = sorted(draw(st.lists(st.floats(-width, width), min_size=2,
+                                      max_size=2)))
+    if draw(st.integers(0, 3)) == 0:
+        x_lo = x_hi
+    y_lo, y_hi = sorted(10.0 ** np.array(draw(st.lists(st.floats(-4, 4), min_size=2,
+                                                       max_size=2))))
+    if draw(st.integers(0, 3)) == 0:
+        y_hi = y_lo
+    return alpha, beta, {"x_range": (x_lo, x_hi), "y_abs_range": (y_lo, y_hi),
+                         "steps": draw(st.integers(2, 600)),
+                         "strict": draw(st.booleans())}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grid_cases())
+def test_grid_equals_the_dense_scan(case):
+    alpha, beta, kwargs = case
+    assert _grid_bits(alpha, beta, **kwargs) == _bits(*_dense_grid(alpha, beta, **kwargs))
+
+
 @pytest.mark.parametrize("args, kwargs, expected", GRID_GOLDEN)
 def test_grid_matches_recorded_results(args, kwargs, expected):
     res = grid_search_2x2(*args, **kwargs)
@@ -252,6 +323,45 @@ def test_grid_rejects_non_finite_arguments(bad):
     kwargs = {"alpha": 1.0, "beta": 1.0, **bad}
     with pytest.raises(ValueError, match="finite"):
         grid_search_2x2(**kwargs)
+
+
+@pytest.mark.parametrize("alpha, beta, x_range", [
+    (1.0, 1.0, (-1e308, 1e308)),            # the x step overflows
+    (1.0, 1.7e308, (0.0, 1.7e308)),         # hypot(beta, x) overflows
+    (1e308, 1.0, (1e308, 1e308)),           # |alpha + x| overflows
+])
+def test_grid_rejects_an_overflowing_grid(alpha, beta, x_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            grid_search_2x2(alpha, beta, x_range=x_range)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((-2.0, 1.0), {}),
+    ((0.0, 1.0), {"strict": True}),
+    # r / |y| and r * |y| overflow: those margins are -inf
+    ((1e10, 1.0), {"y_abs_range": (1e-308, 1e308), "steps": 50}),
+])
+def test_grid_emits_no_warning_on_valid_input(args, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _grid_bits(*args, **kwargs)
+    assert res == _bits(*_dense_grid(*args, **kwargs))
+
+
+def test_grid_never_builds_the_grid():
+    grid_search_2x2(-2.0, 1.0)
+    tracemalloc.start()
+    try:
+        grid_search_2x2(-2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 401 x 201 float array alone is 645 KB
+    assert peak < 128 * 1024
+    res = grid_search_2x2(-2.0, 1.0, steps=200_000)
+    assert res.found and res.samples == 40_000_200_000
 
 
 @pytest.mark.parametrize("steps", [400.0, 1e2, "400", None, True])
