@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _scale, as_matrix
 from .errors import DimensionMismatch
 from .spectral import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue,
                        eigen_structure)
@@ -135,7 +135,7 @@ def _classify_structure(structure: EigenStructure, tol: float,
 
 def _zero_tol(a, tol: float) -> float:
     """Half-width of the zero-eigenvalue band: ``tol * (1 + ||a||_F)``."""
-    return tol * (1.0 + float(np.linalg.norm(a)))
+    return tol * _scale(a)
 
 
 def classify(a, tol: float = BORDERLINE_TOL,

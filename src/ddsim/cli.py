@@ -35,9 +35,16 @@ from .special import (HURWITZ_TOL, h_matrix_scaling, is_h_matrix, is_hurwitz,
                       metzler_hurwitz_scaling)
 from .svg import render_gershgorin
 
-_NUMERICAL_ERRORS = (ClusterAmbiguity, IllConditionedJordan,
-                     NumericallySingular, SingularTransform)
-_REFUSED_ERRORS = (NotAchievable, PreconditionViolated)
+#: (error types, exit code, stderr line) for every failure ``main`` reports.
+_OUTCOMES = (
+    ((MatrixParseError, ValueError), 1, "parse error: {exc}"),
+    ((ClusterAmbiguity, IllConditionedJordan, NumericallySingular, SingularTransform),
+     2, "numerical failure: {name}: {exc}"),
+    ((NotAchievable, PreconditionViolated), 3, "refused: {name}: {exc}"),
+    ((SingularInput,), 4, "out of scope: {name}: {exc}"),
+    ((OSError,), 1, "write error: {exc}"),
+)
+_FAILURES = tuple(t for types, _, _ in _OUTCOMES for t in types)
 
 _VERDICT_EXIT = {
     Verdict.STRICT_ACHIEVABLE: 0,
@@ -71,29 +78,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "dominant matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol=True):
+    def add_common(name, summary, handler, tol):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
         p.add_argument("--format", choices=("json", "csv"),
                        help="input format; default by file extension")
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=None,
+        if tol is not None:
+            p.add_argument("--tol", type=_tolerance, default=tol,
                            help="decision tolerance, finite and >= 0 "
                                 "(default per subcommand)")
         p.add_argument("--out", help="also write the output document here")
+        return p
 
-    add_common(sub.add_parser("classify", help="trichotomy verdict with evidence"))
+    add_common("classify", "trichotomy verdict with evidence", _cmd_classify,
+               BORDERLINE_TOL)
 
-    tp = sub.add_parser("transform", help="build a verified similarity certificate")
-    add_common(tp)
+    tp = add_common("transform", "build a verified similarity certificate",
+                    _cmd_transform, BORDERLINE_TOL)
     tp.add_argument("--target", choices=("strict", "nonstrict"), default="strict")
     tp.add_argument("--mode", choices=("real", "complex"), default="real")
 
-    gp = sub.add_parser("gershgorin", help="render discs and eigenvalues as SVG")
-    add_common(gp, tol=False)
+    gp = add_common("gershgorin", "render discs and eigenvalues as SVG",
+                    _cmd_gershgorin, None)
     gp.add_argument("--axis", choices=("row", "column"), default="row")
 
-    sp = sub.add_parser("special", help="structure tests and diagonal scalings")
-    add_common(sp)
+    sp = add_common("special", "structure tests and diagonal scalings",
+                    _cmd_special, HURWITZ_TOL)
     sp.add_argument("which", choices=("m-scale", "h-scale", "tests"))
     return parser
 
@@ -140,9 +151,14 @@ def _dominance_doc(report) -> dict:
     }
 
 
+def _json(doc, code=0):
+    """A handler's ``(stdout text, --out text, exit code)`` for a JSON document."""
+    text = dumps(doc)
+    return text, text + "\n", code
+
+
 def _cmd_classify(a, args):
-    tol = BORDERLINE_TOL if args.tol is None else args.tol
-    classification = classify(a, tol)
+    classification = classify(a, args.tol)
     doc = {
         "verdict": classification.verdict.value,
         "evidence": _evidence_doc(classification),
@@ -150,18 +166,17 @@ def _cmd_classify(a, args):
         "borderline_pairs": [{"alpha": p[0], "beta": p[1]}
                              for p in classification.borderline_pairs],
     }
-    return dumps(doc), _VERDICT_EXIT[classification.verdict]
+    return _json(doc, _VERDICT_EXIT[classification.verdict])
 
 
 def _cmd_transform(a, args):
-    tol = BORDERLINE_TOL if args.tol is None else args.tol
     if args.mode == "real":
         target = Target.STRICT if args.target == "strict" else Target.NON_STRICT
-        cert = build_real_dd_transform(a, target, tol)
+        cert = build_real_dd_transform(a, target, args.tol)
         p_doc = matrix_rows(cert.P)
         b_doc = matrix_rows(cert.B)
     else:
-        cert = build_complex_dd_transform(a, tol)
+        cert = build_complex_dd_transform(a, args.tol)
         p_doc = complex_matrix_doc(cert.P)
         b_doc = complex_matrix_doc(cert.B)
     doc = {
@@ -172,29 +187,36 @@ def _cmd_transform(a, args):
         "residual": cert.residual,
         "dominance": _dominance_doc(cert.dominance),
     }
-    return dumps(doc), 0
+    return _json(doc)
 
 
 def _cmd_special(a, args):
-    tol = HURWITZ_TOL if args.tol is None else args.tol
     if args.which == "tests":
-        doc = {
+        return _json({
             "z": is_z_matrix(a),
             "metzler": is_metzler(a),
-            "m_matrix": is_m_matrix(a, tol),
-            "h_matrix": is_h_matrix(a, tol),
-            "hurwitz": is_hurwitz(a, tol),
-        }
-        return dumps(doc), 0
+            "m_matrix": is_m_matrix(a, args.tol),
+            "h_matrix": is_h_matrix(a, args.tol),
+            "hurwitz": is_hurwitz(a, args.tol),
+        })
     scaling = metzler_hurwitz_scaling if args.which == "m-scale" else h_matrix_scaling
-    cert = scaling(a, tol)
+    cert = scaling(a, args.tol)
     doc = {
         "K": matrix_rows(cert.K),
         "B": matrix_rows(cert.B),
         "dominance": _dominance_doc(cert.dominance),
         "diagonal_sign": cert.diagonal_sign.value,
     }
-    return dumps(doc), 0
+    return _json(doc)
+
+
+def _cmd_gershgorin(a, args):
+    """The SVG goes to ``--out`` only, which is checked before any work."""
+    if not args.out:
+        print("gershgorin requires --out SVG_PATH", file=sys.stderr)
+        return None, None, 1
+    axis = Axis.ROW if args.axis == "row" else Axis.COLUMN
+    return None, render_gershgorin(gershgorin_discs(a, axis), np.linalg.eigvals(a)), 0
 
 
 def main(argv=None) -> int:
@@ -204,48 +226,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on a rejected argument, here the code of a numerical failure
         raise SystemExit(64 if exc.code == 2 else exc.code) from None
     try:
-        a = load_matrix(args.input, args.format)
-    except MatrixParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        a = np.asarray(a, dtype=float)
-        if args.command == "gershgorin":
-            if not args.out:
-                print("gershgorin requires --out SVG_PATH", file=sys.stderr)
-                return 1
-            axis = Axis.ROW if args.axis == "row" else Axis.COLUMN
-            discs = gershgorin_discs(a, axis)
-            svg = render_gershgorin(discs, np.linalg.eigvals(a))
-            try:
-                Path(args.out).write_text(svg)
-            except OSError as exc:
-                print(f"write error: {exc}", file=sys.stderr)
-                return 1
-            return 0
-        handler = {"classify": _cmd_classify, "transform": _cmd_transform,
-                   "special": _cmd_special}[args.command]
-        text, code = handler(a, args)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except _REFUSED_ERRORS as exc:
-        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except SingularInput as exc:
-        print(f"out of scope: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-
-    print(text)
-    if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            print(f"write error: {exc}", file=sys.stderr)
-            return 1
+        text, document, code = args.handler(load_matrix(args.input, args.format), args)
+        if text is not None:
+            print(text)
+        if args.out:
+            Path(args.out).write_text(document)
+    except _FAILURES as exc:
+        code, line = next((code, line) for types, code, line in _OUTCOMES
+                          if isinstance(exc, types))
+        print(line.format(name=type(exc).__name__, exc=exc), file=sys.stderr)
     return code
 
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol, is_borderline
-from .core import (Axis, DominanceReport, _diag_similarity, as_matrix, is_diag_dominant,
-                   similarity_residual)
+from .core import Axis, DominanceReport, _diag_similarity, as_matrix, is_diag_dominant
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock,
-                       RealJordanForm, _assemble_jordan, _Spectrum,
+                       RealJordanForm, _assemble_jordan, _checked_residual, _Spectrum,
                        jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
@@ -120,11 +119,7 @@ def _verified(a, p, b, target, miss_message) -> SimilarityCertificate:
     """The certificate for ``B = P A P^{-1}`` once the residual is within
     ``certificate_tol`` and ``B`` meets ``target``; otherwise
     :class:`IllConditionedJordan`, with ``miss_message`` for a missed target."""
-    residual = similarity_residual(a, p, b)
-    limit = certificate_tol(a)
-    if residual > limit:
-        raise IllConditionedJordan(
-            f"certificate residual {residual:.3e} exceeds tolerance {limit:.3e}")
+    residual = _checked_residual(a, p, b, "certificate")
     dominance = is_diag_dominant(b, Axis.ROW, strict=(target is Target.STRICT), tol=0.0)
     if not dominance.satisfied:
         raise IllConditionedJordan(miss_message)

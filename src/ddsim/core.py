@@ -33,7 +33,14 @@ def as_matrix(values) -> np.ndarray:
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
         raise ValueError("matrix entries must be real")
-    arr = arr.astype(float)
+    return _square(arr)
+
+
+def _square(values) -> np.ndarray:
+    """Like :func:`as_matrix` but keeps complex dtype when present."""
+    arr = np.asarray(values)
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -43,16 +50,25 @@ def as_matrix(values) -> np.ndarray:
     return arr
 
 
-def _square(values) -> np.ndarray:
-    """Like :func:`as_matrix` but keeps complex dtype when present."""
-    arr = np.asarray(values)
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError(f"matrix must be square and non-empty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return arr
+@np.errstate(over="ignore")
+def _frobenius(x) -> float:
+    """``np.linalg.norm(x)``; only when it overflows on finite entries is it
+    recomputed as ``peak * ||x / peak||_F`` with ``peak = max |x_ij|``."""
+    x = np.asarray(x)
+    norm = float(np.linalg.norm(x))
+    if norm == np.inf and np.isfinite(x).all():
+        peak = float(np.abs(x).max())
+        norm = peak * float(np.linalg.norm(x / peak))
+    return norm
+
+
+def _scale(a) -> float:
+    """``1 + ||a||_F``, which every absolute threshold is relative to: the
+    cluster band, the zero band and the residual limit.  Finite for every
+    finite ``a``; Jordan chains are not scale-free yet, so a defective
+    eigenvalue is still refused at large scale (their vectors, and from
+    about 1e154 the powers of ``a - lambda I``, grow with ``||a||``)."""
+    return 1.0 + _frobenius(a)
 
 
 def default_dominance_tol(a) -> float:
@@ -163,17 +179,15 @@ def _diag_similarity(a, d) -> np.ndarray:
 
 
 def similarity_residual(a, p, b) -> float:
-    """Relative failure of ``b = p a p^{-1}``: ||pa - bp||_F / (||a||_F + 1).
+    """Relative failure of ``b = p a p^{-1}``: ||pa - bp||_F / (1 + ||a||_F).
 
     Raises :class:`SingularTransform` when the smallest singular value of
     ``p`` falls below ``SINGULAR_SV_RTOL`` times the largest.
     """
-    a = _square(a)
-    p = _square(p)
-    b = _square(b)
+    a, p, b = map(_square, (a, p, b))
     if not (a.shape == p.shape == b.shape):
         raise ValueError("a, p, b must share one square shape")
     ratio = _singular_ratio(p)
     if ratio:
         raise SingularTransform(f"transform is numerically singular ({ratio})")
-    return float(np.linalg.norm(p @ a - b @ p) / (np.linalg.norm(a) + 1.0))
+    return _frobenius(p @ a - b @ p) / _scale(a)

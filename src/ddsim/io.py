@@ -50,7 +50,7 @@ def parse_csv_matrix(text: str) -> np.ndarray:
 def parse_json_matrix(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the digit limit
         raise MatrixParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or "rows" not in doc:
         raise MatrixParseError('expected an object with "n" and "rows"')
@@ -66,7 +66,11 @@ def parse_json_matrix(text: str) -> np.ndarray:
         for j, value in enumerate(row, start=1):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise MatrixParseError(f"row {i}, column {j}: not a number")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer literal too large for a float
+                finite = False
+            if not finite:
                 raise MatrixParseError(f"row {i}, column {j}: non-finite value")
     return np.array(rows, dtype=float)
 
@@ -77,8 +81,8 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     if fmt is None:
         fmt = "json" if p.suffix.lower() == ".json" else "csv"
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {p}: {exc}") from None
     if fmt == "json":
         return parse_json_matrix(text)

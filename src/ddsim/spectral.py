@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _singular_ratio, as_matrix, similarity_residual
+from .core import _scale, _singular_ratio, as_matrix, similarity_residual
 from .errors import ClusterAmbiguity, IllConditionedJordan
 
 #: Default relative eigenvalue clustering tolerance.
@@ -28,8 +28,20 @@ _TOP_SELECT_TOL = 1e-6
 
 
 def jordan_residual_tol(a) -> float:
-    """Acceptance threshold for the Jordan similarity residual."""
-    return 1e-6 * (1.0 + float(np.linalg.norm(np.asarray(a))))
+    """Acceptance threshold for the Jordan and certificate similarity
+    residuals: ``1e-6 * (1 + ||a||_F)``, finite for every finite ``a``."""
+    return 1e-6 * _scale(a)
+
+
+def _checked_residual(a, p, b, what) -> float:
+    """``similarity_residual(a, p, b)``; :class:`IllConditionedJordan` naming
+    ``what`` when it is not within ``jordan_residual_tol(a)``."""
+    residual = similarity_residual(a, p, b)
+    limit = jordan_residual_tol(a)
+    if not residual <= limit:
+        raise IllConditionedJordan(
+            f"{what} residual {residual:.3e} exceeds tolerance {limit:.3e}")
+    return residual
 
 
 @dataclass(frozen=True)
@@ -282,7 +294,7 @@ class _Spectrum:
 
     def __init__(self, a, cluster_tol, vectors):
         self.a = a
-        self.tol = cluster_tol * (1.0 + float(np.linalg.norm(a)))
+        self.tol = cluster_tol * _scale(a)
         if vectors:
             self.values, self.vectors = np.linalg.eig(a)
         else:
@@ -319,51 +331,38 @@ class _Spectrum:
         return tuple(out)
 
     def structure(self) -> EigenStructure:
-        """Both multiplicities of every cluster; only repeated eigenvalues
-        cost an SVD."""
-        real_clusters, pair_clusters = self.clusters
-        real_eigs = tuple(
-            RealEigenvalue(value=float(c.rep.real), alg_mult=c.alg_mult,
-                           geo_mult=c.geo_mult)
-            for c in real_clusters
-        )
-        complex_pairs = tuple(
-            ComplexPair(alpha=float(c.rep.real), beta=float(c.rep.imag),
-                        alg_mult=c.alg_mult, geo_mult=c.geo_mult)
-            for c in pair_clusters
-        )
-        for e in real_eigs:
-            if not (1 <= e.geo_mult <= e.alg_mult):
-                raise IllConditionedJordan(
-                    f"inconsistent multiplicities for eigenvalue {e.value:.6g}: "
-                    f"geometric {e.geo_mult}, algebraic {e.alg_mult}")
-        for p in complex_pairs:
-            if not (1 <= p.geo_mult <= p.alg_mult):
-                raise IllConditionedJordan(
-                    f"inconsistent multiplicities for pair {p.alpha:.6g}+/-{p.beta:.6g}j: "
-                    f"geometric {p.geo_mult}, algebraic {p.alg_mult}")
-        return EigenStructure(real_eigs=real_eigs, complex_pairs=complex_pairs)
+        """Both multiplicities of every cluster, real clusters first; only
+        repeated eigenvalues cost an SVD."""
+        found = ([], [])
+        for pairs, clusters in enumerate(self.clusters):
+            for c in clusters:
+                lam, alg, geo = c.rep, c.alg_mult, c.geo_mult
+                if not 1 <= geo <= alg:
+                    name = (f"pair {lam.real:.6g}+/-{lam.imag:.6g}j" if pairs
+                            else f"eigenvalue {lam.real:.6g}")
+                    raise IllConditionedJordan(f"inconsistent multiplicities for {name}: "
+                                               f"geometric {geo}, algebraic {alg}")
+                found[pairs].append(ComplexPair(lam.real, lam.imag, alg, geo) if pairs
+                                    else RealEigenvalue(lam.real, alg, geo))
+        return EigenStructure(*map(tuple, found))
 
     def jordan_form(self) -> RealJordanForm:
         """Real Jordan form from the clusters' chains, verified by the
         basis conditioning and the similarity residual."""
         a = self.a
         n = a.shape[0]
-        real_clusters, pair_clusters = self.clusters
         blocks = []
         columns = []
-        for cluster in real_clusters:
-            lam = float(cluster.rep.real)
-            for chain in cluster.chains():
-                blocks.append(RealJordanBlock(eigenvalue=lam, size=len(chain)))
-                columns.extend(chain)
-        for cluster in pair_clusters:
-            alpha, beta = float(cluster.rep.real), float(cluster.rep.imag)
-            for chain in cluster.chains():
-                blocks.append(ComplexJordanBlock(alpha=alpha, beta=beta,
-                                                 chain_length=len(chain)))
-                for w in chain:
-                    columns.extend((w.real, w.imag))
+        for pairs, clusters in enumerate(self.clusters):
+            for cluster in clusters:
+                lam = cluster.rep
+                for chain in cluster.chains():
+                    if pairs:
+                        blocks.append(ComplexJordanBlock(lam.real, lam.imag, len(chain)))
+                        columns.extend(part for w in chain for part in (w.real, w.imag))
+                    else:
+                        blocks.append(RealJordanBlock(lam.real, len(chain)))
+                        columns.extend(chain)
 
         if sum(b.dim for b in blocks) != n:
             raise IllConditionedJordan(
@@ -374,12 +373,8 @@ class _Spectrum:
             raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
         p = np.linalg.inv(q)
         j = _assemble_jordan(blocks, n)
-        residual = similarity_residual(a, p, j)
-        tol = jordan_residual_tol(a)
-        if residual > tol:
-            raise IllConditionedJordan(
-                f"Jordan residual {residual:.3e} exceeds tolerance {tol:.3e}")
-        return RealJordanForm(J=j, P=p, blocks=tuple(blocks), residual=residual)
+        return RealJordanForm(J=j, P=p, blocks=tuple(blocks),
+                              residual=_checked_residual(a, p, j, "Jordan"))
 
 
 def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:

@@ -345,3 +345,47 @@ def test_extending_a_built_parser_leaves_main_unchanged(tmp_path, capsys):
     code, err = parse_error(capsys, ["--extra", "1", "classify", "--input", path])
     assert code == 64
     assert err.startswith("usage: ddsim ")
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer literal too large for a float
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("empty.csv", "\n\n", "line 1, column 1: empty input"),
+    ("inf.csv", "1,inf\n2,3\n", "line 1, column 2: non-finite value"),
+    ("bad.json", "{", "invalid JSON: "),
+    ("list.json", "[[1]]", 'expected an object with "n" and "rows"'),
+    ("rows.json", '{"n": 2, "rows": [[1, 2]]}', '"rows" must hold 2 rows'),
+    ("short.json", '{"n": 2, "rows": [[1, 2], [3]]}', "row 2: expected 2 values"),
+    ("text.json", '{"n": 1, "rows": [["1"]]}', "row 1, column 1: not a number"),
+    ("nan.json", '{"n": 1, "rows": [[NaN]]}', "row 1, column 1: non-finite value"),
+    ("big.json", f'{{"n": 1, "rows": [[{BIG_INT}]]}}',
+     "row 1, column 1: non-finite value"),
+])
+def test_parse_errors_exit_1(tmp_path, capsys, name, content, message):
+    path = write_csv(tmp_path, name, content)
+    code, out, err = run(capsys, ["classify", "--input", path])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"parse error: {message}")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None),
+    ("latin1.csv", "-2,\xe9\n0,-3\n".encode("latin-1")),
+])
+def test_unreadable_input_exits_1(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, ["classify", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"parse error: cannot read {path}: ")
+
+
+def test_classify_large_entries_exit_0(tmp_path, capsys):
+    path = write_json(tmp_path, "a.json", [[1e160, 0.0], [0.0, -2e160]])
+    code, out, err = run(capsys, ["classify", "--input", path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "StrictAchievable"
+    assert [e["value"] for e in doc["eigenstructure"]["real"]] == [-2e160, 1e160]

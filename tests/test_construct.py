@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from _gen import spectrum_matrix
-from ddsim import (Axis, Target, build_complex_dd_transform,
-                   build_real_dd_transform, certificate_tol, is_diag_dominant,
+from ddsim import (Axis, Target, Verdict, build_complex_dd_transform,
+                   build_real_dd_transform, certificate_tol, classify, is_diag_dominant,
                    real_jordan_form, scale_jordan_to_dd, similarity_residual)
 from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
                           SingularInput)
@@ -288,3 +288,29 @@ def test_complex_build_bits_on_transformed_pair_chain():
         "0x0.0p+0 -0x1.ffffffffffff8p+0 0x0.0p+0 0x0.0p+0",
         "0x0.0p+0 0x0.0p+0 0x1.ffffffffffff8p+0 0x0.0p+0",
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.ffffffffffff8p+0"]
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.diag([0.0, 1.0]), "real Jordan block at eigenvalue 0"),
+    (np.array([[-1.0, 2.0], [-2.0, -1.0]]), "has |alpha| < |beta|"),
+])
+@pytest.mark.parametrize("target", [Target.STRICT, Target.NON_STRICT])
+def test_scale_jordan_rejects_zero_block_and_subdominant_pair(a, message, target):
+    with pytest.raises(PreconditionViolated, match=re.escape(message)):
+        scale_jordan_to_dd(real_jordan_form(a), target)
+
+
+LARGE_SCALES = [1e154, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("c", LARGE_SCALES)
+@pytest.mark.parametrize("family", ["diag", "pair"])
+def test_large_entries_keep_finite_thresholds(c, family):
+    # np.linalg.norm(a) overflows here; an infinite scale would put every
+    # eigenvalue in the zero band and merge the pair into one real cluster
+    a = (np.diag([c, -2.0 * c]) if family == "diag"
+         else c * np.array([[-2.0, 1.0], [-1.0, -2.0]]))
+    assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE
+    assert np.isfinite(certificate_tol(a))
+    _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
+    _check_certificate(a, build_complex_dd_transform(a))

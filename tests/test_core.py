@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ddsim import (Axis, as_matrix, comparison_matrix, gershgorin_discs,
                    is_diag_dominant, similarity_residual)
+from ddsim.core import _frobenius, _scale
 from ddsim.errors import SingularTransform
 
 matrices = arrays(np.float64, (3, 3),
@@ -95,6 +98,30 @@ def test_similarity_residual_rejects_singular_transform():
 def test_as_matrix_rejects(bad):
     with pytest.raises(ValueError):
         as_matrix(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+    (np.ones(3), "matrix must be square, got shape (3,)"),
+    (np.zeros((0, 0)), "matrix must have dimension at least 1"),
+    (np.diag([np.inf, 1.0]), "matrix entries must be finite"),
+])
+@pytest.mark.parametrize("check", [
+    as_matrix, is_diag_dominant, lambda m: similarity_residual(m, m, m)])
+def test_every_validator_gives_the_same_message(bad, message, check):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(bad)
+
+
+def test_scale_keeps_the_plain_norm_bits_and_survives_overflow():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-100, 150)
+        assert _scale(a) == 1.0 + float(np.linalg.norm(a))
+    # the plain norm overflows from entries of about 1.3e154
+    assert _scale(np.diag([1e300, -2e300])) == pytest.approx(np.sqrt(5.0) * 1e300)
+    assert _scale(np.full((2, 2), 1e154)) == pytest.approx(2e154)
+    assert _frobenius(np.array([[1e300, np.inf]])) == np.inf
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

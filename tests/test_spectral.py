@@ -5,6 +5,7 @@ from _gen import spectrum_matrix, well_conditioned
 from ddsim import (ComplexJordanBlock, RealJordanBlock, eigen_structure,
                    jordan_residual_tol, real_jordan_form, similarity_residual)
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
+from ddsim.spectral import _checked_residual
 
 
 def test_eigen_structure_triangular():
@@ -169,3 +170,13 @@ def test_cluster_ambiguity_raised_for_near_tolerance_gap():
     with pytest.raises(ClusterAmbiguity) as info:
         eigen_structure(a)
     assert info.value.groupings  # both candidate groupings reported
+
+
+@pytest.mark.parametrize("what", ["Jordan", "certificate"])
+def test_residual_limit_names_its_check(what):
+    a = np.diag([-2.0, -3.0])
+    assert _checked_residual(a, np.eye(2), a, what) == 0.0
+    swapped = np.diag([-3.0, -2.0])
+    with pytest.raises(IllConditionedJordan,
+                       match=rf"^{what} residual 3\.071e-01 exceeds tolerance 4\.606e-06$"):
+        _checked_residual(a, np.eye(2), swapped, what)
