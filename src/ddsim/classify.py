@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _scale, as_matrix
+from .core import _scale, _tolerance, as_matrix
 from .errors import DimensionMismatch
-from .spectral import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue,
-                       eigen_structure)
+from .spectral import CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, _Spectrum
 
 #: Relative half-width of the |alpha| = |beta| boundary band.
 BORDERLINE_TOL = 1e-9
@@ -133,9 +132,10 @@ def _classify_structure(structure: EigenStructure, tol: float,
                             borderline_pairs=tuple(borderline), structure=structure)
 
 
-def _zero_tol(a, tol: float) -> float:
-    """Half-width of the zero-eigenvalue band: ``tol * (1 + ||a||_F)``."""
-    return tol * _scale(a)
+def _zero_tol(tol: float, scale: float) -> float:
+    """Half-width of the zero-eigenvalue band: ``tol * (1 + ||a||_F)``, given
+    ``scale = _scale(a)``."""
+    return tol * scale
 
 
 def classify(a, tol: float = BORDERLINE_TOL,
@@ -147,33 +147,50 @@ def classify(a, tol: float = BORDERLINE_TOL,
     :class:`ClusterAmbiguity` from the eigenstructure computation.
     """
     a = as_matrix(a)
-    return _classify_structure(eigen_structure(a, cluster_tol), tol, _zero_tol(a, tol))
+    _tolerance(tol)
+    spectrum = _Spectrum(a, cluster_tol, vectors=False)
+    return _classify_structure(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
 
 
 def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
     """Closed-form specialisation for 2x2 matrices.
 
     Uses the trace/determinant quadratic directly instead of the clustering
-    machinery; agrees with :func:`classify` on 2x2 inputs.
+    machinery; agrees with :func:`classify` on 2x2 inputs.  When the plain
+    quadratic overflows, it is solved for ``a / peak`` with ``peak = max
+    |a_ij|`` and its roots are scaled back.
     """
     a = as_matrix(a)
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
-    half_trace = (a[0, 0] + a[1, 1]) / 2.0
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = half_trace * half_trace - det
+    _tolerance(tol)
+    entries = a.ravel().tolist()
+    peak = 1.0
+    half_trace, disc = _half_trace_disc(*entries)
+    # a finite discriminant bounds |half_trace| and its root by sqrt(max float)
+    if not math.isfinite(disc):
+        peak = max(map(abs, entries))
+        half_trace, disc = _half_trace_disc(*(x / peak for x in entries))
     if disc >= 0.0:
         root = math.sqrt(disc)
         structure = EigenStructure(
-            real_eigs=tuple(RealEigenvalue(value=lam, alg_mult=1, geo_mult=1)
+            real_eigs=tuple(RealEigenvalue(value=peak * lam, alg_mult=1, geo_mult=1)
                             for lam in (half_trace - root, half_trace + root)),
             complex_pairs=())
     else:
         # a 2x2 complex pair is automatically non-defective
-        pair = ComplexPair(alpha=float(half_trace), beta=math.sqrt(-disc),
+        pair = ComplexPair(alpha=peak * half_trace, beta=peak * math.sqrt(-disc),
                            alg_mult=1, geo_mult=1)
         structure = EigenStructure(real_eigs=(), complex_pairs=(pair,))
-    return _classify_structure(structure, tol, _zero_tol(a, tol))
+    return _classify_structure(structure, tol, _zero_tol(tol, _scale(a)))
+
+
+def _half_trace_disc(a00, a01, a10, a11):
+    """Half the trace of ``[[a00, a01], [a10, a11]]`` and the discriminant
+    ``(trace / 2)**2 - det`` of its characteristic quadratic."""
+    half_trace = (a00 + a11) / 2.0
+    det = a00 * a11 - a01 * a10
+    return half_trace, half_trace * half_trace - det
 
 
 def params_to_matrix(p: TwoByTwoParams) -> np.ndarray:

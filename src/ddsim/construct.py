@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol, is_borderline
-from .core import Axis, DominanceReport, _diag_similarity, as_matrix, is_diag_dominant
+from .core import (Axis, DominanceReport, _diag_similarity, _tolerance, as_matrix,
+                   is_diag_dominant)
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock,
                        RealJordanForm, _assemble_jordan, _checked_residual, _Spectrum,
@@ -115,11 +116,12 @@ def _scaled(blocks, j, slacks, margin):
     return d, _diag_similarity(j, d)
 
 
-def _verified(a, p, b, target, miss_message) -> SimilarityCertificate:
-    """The certificate for ``B = P A P^{-1}`` once the residual is within
-    ``certificate_tol`` and ``B`` meets ``target``; otherwise
-    :class:`IllConditionedJordan`, with ``miss_message`` for a missed target."""
-    residual = _checked_residual(a, p, b, "certificate")
+def _verified(spectrum, p, b, target, miss_message) -> SimilarityCertificate:
+    """The certificate for ``B = P A P^{-1}`` (``A`` is ``spectrum.a``) once
+    the residual is within ``certificate_tol`` and ``B`` meets ``target``;
+    otherwise :class:`IllConditionedJordan`, with ``miss_message`` for a
+    missed target."""
+    residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
     dominance = is_diag_dominant(b, Axis.ROW, strict=(target is Target.STRICT), tol=0.0)
     if not dominance.satisfied:
         raise IllConditionedJordan(miss_message)
@@ -141,6 +143,7 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
+    _tolerance(borderline_tol, "borderline_tol")
     blocks = jordan.blocks
     slacks = [_block_slack(b, target, borderline_tol) for b in blocks]
     d, b_mat = _scaled(blocks, jordan.J, slacks, margin)
@@ -169,8 +172,10 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     recomputed from ``B`` and the residual from the triple.
     """
     a = as_matrix(a)
+    _tolerance(tol)
     spectrum = _Spectrum(a, cluster_tol, vectors=True)
-    verdict = _classify_structure(spectrum.structure(), tol, _zero_tol(a, tol)).verdict
+    verdict = _classify_structure(spectrum.structure(), tol,
+                                  _zero_tol(tol, spectrum.scale)).verdict
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
                                    Verdict.NON_STRICT_ONLY)}[target]
@@ -182,7 +187,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     jordan = spectrum.jordan_form()
     d_mat, b_mat = scale_jordan_to_dd(jordan, target, borderline_tol=tol)
     p = np.diag(d_mat)[:, None] * jordan.P
-    return _verified(a, p, b_mat, target,
+    return _verified(spectrum, p, b_mat, target,
                      "constructed matrix misses the dominance target; the input "
                      "is too close to a classification boundary")
 
@@ -202,9 +207,10 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     :class:`SingularInput` when an eigenvalue sits within ``tol`` of zero.
     """
     a = as_matrix(a)
+    _tolerance(tol)
     n = a.shape[0]
     spectrum = _Spectrum(a, cluster_tol, vectors=True)
-    zero_tol = _zero_tol(a, tol)
+    zero_tol = _zero_tol(tol, spectrum.scale)
     if float(np.abs(spectrum.values).min()) <= zero_tol:
         raise SingularInput(
             f"an eigenvalue lies within {zero_tol:.3e} of zero")
@@ -227,6 +233,6 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     d, b_mat = _scaled(blocks, _assemble_jordan(blocks, n, diagonal_cells=True),
                        slacks, MARGIN_FRACTION)
     p = d[:, None] * (cell_map @ jordan.P)
-    return _verified(a, p, b_mat, Target.STRICT,
+    return _verified(spectrum, p, b_mat, Target.STRICT,
                      "complex construction missed strict dominance; eigenvalues "
                      "are too close to zero for the working precision")

@@ -9,6 +9,7 @@ with the same code (all comparisons go through magnitudes).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,14 @@ def _scale(a) -> float:
     return 1.0 + _frobenius(a)
 
 
+def _tolerance(value, name="tol"):
+    """``value`` when it is finite and at least 0, else ``ValueError``: the
+    one rule for every tolerance argument."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return value
+
+
 def default_dominance_tol(a) -> float:
     """Scale-aware slack for dominance comparisons: 1e-12 * (1 + max |a_ij|)."""
     a = _square(a)
@@ -126,10 +135,7 @@ def is_diag_dominant(a, axis: Axis = Axis.ROW, strict: bool = False,
     Complex entries are compared by magnitude.
     """
     a = _square(a)
-    if tol is None:
-        tol = default_dominance_tol(a)
-    if not 0.0 <= tol < np.inf:
-        raise ValueError("tol must be finite and nonnegative")
+    tol = default_dominance_tol(a) if tol is None else _tolerance(tol)
     margins = np.abs(np.diag(a)) - _off_diagonal_sums(a, axis)
     return DominanceReport(
         axis=axis,
@@ -184,10 +190,17 @@ def similarity_residual(a, p, b) -> float:
     Raises :class:`SingularTransform` when the smallest singular value of
     ``p`` falls below ``SINGULAR_SV_RTOL`` times the largest.
     """
-    a, p, b = map(_square, (a, p, b))
+    a = _square(a)
+    return _residual(a, p, b, _scale(a))
+
+
+def _residual(a, p, b, scale) -> float:
+    """:func:`similarity_residual` of an ``a`` already validated, whose
+    ``_scale`` is ``scale``; ``p`` and ``b`` are validated here."""
+    p, b = _square(p), _square(b)
     if not (a.shape == p.shape == b.shape):
         raise ValueError("a, p, b must share one square shape")
     ratio = _singular_ratio(p)
     if ratio:
         raise SingularTransform(f"transform is numerically singular ({ratio})")
-    return _frobenius(p @ a - b @ p) / _scale(a)
+    return _frobenius(p @ a - b @ p) / scale

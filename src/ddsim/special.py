@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Axis, DominanceReport, _diag_similarity, _singular_ratio,
-                   as_matrix, comparison_matrix, is_diag_dominant)
+                   _tolerance, as_matrix, comparison_matrix, is_diag_dominant)
 from .errors import NumericallySingular, PreconditionViolated
 
 #: Default tolerance on eigenvalue real parts for Hurwitz / M-matrix tests.
@@ -55,13 +55,16 @@ def is_metzler(a) -> bool:
 
 def is_hurwitz(a, tol: float = HURWITZ_TOL) -> bool:
     """All eigenvalue real parts below ``-tol``."""
-    return bool(np.max(np.linalg.eigvals(as_matrix(a)).real) < -tol)
+    a = as_matrix(a)
+    _tolerance(tol)
+    return bool(np.max(np.linalg.eigvals(a).real) < -tol)
 
 
 def is_m_matrix(a, tol: float = HURWITZ_TOL) -> bool:
     """Z-matrix whose eigenvalue real parts all exceed ``tol`` (nonsingular
     convention; singular M-matrices such as graph Laplacians test False)."""
     a = as_matrix(a)
+    _tolerance(tol)
     if not is_z_matrix(a):
         return False
     return bool(np.min(np.linalg.eigvals(a).real) > tol)
@@ -102,6 +105,7 @@ def metzler_hurwitz_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     eigenvalue real parts below ``-tol``.
     """
     a = as_matrix(a)
+    _tolerance(tol)
     if not is_metzler(a):
         raise PreconditionViolated("matrix is not Metzler", offender=a)
     if not is_hurwitz(a, tol):

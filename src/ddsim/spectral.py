@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _scale, _singular_ratio, as_matrix, similarity_residual
+from .core import _residual, _scale, _singular_ratio, _tolerance, as_matrix
 from .errors import ClusterAmbiguity, IllConditionedJordan
 
 #: Default relative eigenvalue clustering tolerance.
@@ -25,19 +25,22 @@ RANK_RTOL = 1e-8
 AMBIGUITY_FACTOR = 2.0
 #: Smallest acceptable angle (as a singular value) when picking chain tops.
 _TOP_SELECT_TOL = 1e-6
+#: Residual limit relative to ``_scale(a)``.
+_RESIDUAL_RTOL = 1e-6
 
 
 def jordan_residual_tol(a) -> float:
     """Acceptance threshold for the Jordan and certificate similarity
     residuals: ``1e-6 * (1 + ||a||_F)``, finite for every finite ``a``."""
-    return 1e-6 * _scale(a)
+    return _RESIDUAL_RTOL * _scale(a)
 
 
-def _checked_residual(a, p, b, what) -> float:
-    """``similarity_residual(a, p, b)``; :class:`IllConditionedJordan` naming
-    ``what`` when it is not within ``jordan_residual_tol(a)``."""
-    residual = similarity_residual(a, p, b)
-    limit = jordan_residual_tol(a)
+def _checked_residual(a, p, b, scale, what) -> float:
+    """``similarity_residual(a, p, b)`` of a validated ``a`` whose ``_scale``
+    is ``scale``; :class:`IllConditionedJordan` naming ``what`` when it is not
+    within ``jordan_residual_tol(a)``."""
+    residual = _residual(a, p, b, scale)
+    limit = _RESIDUAL_RTOL * scale
     if not residual <= limit:
         raise IllConditionedJordan(
             f"{what} residual {residual:.3e} exceeds tolerance {limit:.3e}")
@@ -137,7 +140,9 @@ class _Cluster:
 
     def __init__(self, a, members, mean, complex_field, vector=None):
         self.rep = complex(mean)
-        self.radius = float(np.abs(members - self.rep).max()) if len(members) > 1 else 0.0
+        # a simple cluster's member is its mean
+        self.radius = (float(np.abs(np.array(members) - self.rep).max())
+                       if len(members) > 1 else 0.0)
         self.alg_mult = len(members)
         self.lam = self.rep if complex_field else self.rep.real
         self.a = a
@@ -235,14 +240,21 @@ class _Cluster:
         return chains
 
 
-def _group(values, tol, kind):
-    """Single-linkage groups of ``values`` at distance ``tol``.
+def _group(vals, tol, kind):
+    """Single-linkage groups of the Python scalars ``vals`` at distance ``tol``.
 
     Returns the groups as index lists (index order inside a group) and their
-    means, both ordered by (real, imag) of the mean.  Raises
-    :class:`ClusterAmbiguity` when two groups nearly touch under the tolerance.
+    means, both ordered by (real, imag) of the mean; a repeated group's mean is
+    numpy's mean of its members.  Raises :class:`ClusterAmbiguity` when two
+    groups nearly touch under the tolerance.
     """
-    vals = values.tolist()
+    band = AMBIGUITY_FACTOR * tol
+    near = [(i, j, gap) for i in range(len(vals)) for j in range(i + 1, len(vals))
+            if (gap := abs(vals[i] - vals[j])) <= band]
+    if not near:
+        order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+        return [[i] for i in order], [vals[i] for i in order]
+
     parent = list(range(len(vals)))
 
     def find(i):
@@ -251,19 +263,18 @@ def _group(values, tol, kind):
             i = parent[i]
         return i
 
-    near = []
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            gap = abs(vals[i] - vals[j])
-            if gap <= AMBIGUITY_FACTOR * tol:
-                near.append((i, j, gap))
-                if gap <= tol:
-                    parent[find(i)] = find(j)
+    for i, j, gap in near:
+        if gap <= tol:
+            parent[find(i)] = find(j)
     groups = {}
     for i in range(len(vals)):
         groups.setdefault(find(i), []).append(i)
     groups = list(groups.values())
-    means = [values[g].mean() if len(g) > 1 else values[g[0]] for g in groups]
+
+    def members(g):
+        return np.array([vals[i] for i in g])
+
+    means = [members(g).mean() if len(g) > 1 else vals[g[0]] for g in groups]
     order = sorted(range(len(groups)), key=lambda k: (means[k].real, means[k].imag))
     groups = [groups[k] for k in order]
     means = [means[k] for k in order]
@@ -273,13 +284,13 @@ def _group(values, tol, kind):
                    for i, j, gap in near if rank[i] != rank[j])
     if cross:
         i, j, gap = cross[0]
-        merged = [list(values[g]) for k, g in enumerate(groups) if k not in (i, j)]
-        merged.append(list(values[groups[i] + groups[j]]))
+        merged = [list(members(g)) for k, g in enumerate(groups) if k not in (i, j)]
+        merged.append(list(members(groups[i] + groups[j])))
         raise ClusterAmbiguity(
             f"{kind} eigenvalue clusters at {means[i]:.6g} and {means[j]:.6g} "
             f"are separated by {gap:.3e}, within {AMBIGUITY_FACTOR}x the "
             f"clustering tolerance {tol:.3e}",
-            groupings=[[list(values[g]) for g in groups], merged],
+            groupings=[[list(members(g)) for g in groups], merged],
         )
     return groups, means
 
@@ -290,11 +301,14 @@ class _Spectrum:
     Every spectral fact of one public call is derived from this single pass:
     ``eigvals`` when only the eigen-structure is needed, ``eig`` when a
     Jordan basis may be built (simple clusters take their vector from it).
+    ``scale`` is ``_scale(a)``, computed once for every band and residual
+    limit of the call; ``a`` must come from :func:`as_matrix`.
     """
 
     def __init__(self, a, cluster_tol, vectors):
         self.a = a
-        self.tol = cluster_tol * _scale(a)
+        self.scale = _scale(a)
+        self.tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
         if vectors:
             self.values, self.vectors = np.linalg.eig(a)
         else:
@@ -304,29 +318,28 @@ class _Spectrum:
     def clusters(self):
         """``(real_clusters, pair_clusters)``, pair clusters holding only the
         upper-half-plane members.  Raises :class:`ClusterAmbiguity`."""
-        w, tol = self.values, self.tol
-        imag = w.imag
-        near_real = np.abs(imag) <= tol
-        if np.any((np.abs(imag) > tol) & (np.abs(imag) <= AMBIGUITY_FACTOR * tol)):
+        w, tol = self.values.tolist(), self.tol
+        if any(tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol for z in w):
+            near_real = np.abs(self.values.imag) <= tol
             raise ClusterAmbiguity(
                 "an eigenvalue sits near the real axis within "
                 f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
                 "its realness cannot be decided",
-                groupings=[list(w[near_real].real), list(w.real)],
+                groupings=[list(self.values[near_real].real), list(self.values.real)],
             )
-        real_idx = np.flatnonzero(near_real)
-        real_idx = real_idx[np.argsort(w[real_idx].real, kind="stable")]
-        upper_idx = np.flatnonzero(imag > tol)
+        real_idx = sorted((i for i, z in enumerate(w) if abs(z.imag) <= tol),
+                          key=lambda i: w[i].real)
+        upper_idx = [i for i, z in enumerate(w) if z.imag > tol]
         out = []
-        for idx, values, pairs in ((real_idx, w[real_idx].real, False),
-                                   (upper_idx, w[upper_idx], True)):
+        for idx, pairs in ((real_idx, False), (upper_idx, True)):
+            values = [w[i] if pairs else w[i].real for i in idx]
             clusters = []
             for g, mean in zip(*_group(values, tol, "complex" if pairs else "real")):
                 vector = None
                 if self.vectors is not None and len(g) == 1:
                     vector = self.vectors[:, idx[g[0]]]
                     vector = vector if pairs else vector.real
-                clusters.append(_Cluster(self.a, values[g], mean, pairs, vector))
+                clusters.append(_Cluster(self.a, [values[i] for i in g], mean, pairs, vector))
             out.append(clusters)
         return tuple(out)
 
@@ -374,7 +387,7 @@ class _Spectrum:
         p = np.linalg.inv(q)
         j = _assemble_jordan(blocks, n)
         return RealJordanForm(J=j, P=p, blocks=tuple(blocks),
-                              residual=_checked_residual(a, p, j, "Jordan"))
+                              residual=_checked_residual(a, p, j, self.scale, "Jordan"))
 
 
 def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:

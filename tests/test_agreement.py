@@ -12,7 +12,8 @@ import pytest
 
 from _gen import chain_matrix, spectrum_matrix
 from ddsim import (CLUSTER_TOL, Target, Verdict, as_matrix, build_real_dd_transform,
-                   certificate_tol, classify, eigen_structure, jordan_residual_tol)
+                   certificate_tol, classify, classify_2x2, eigen_structure,
+                   jordan_residual_tol)
 from ddsim.errors import DdsimError, NotAchievable, PreconditionViolated
 from ddsim.spectral import _Spectrum
 
@@ -78,3 +79,25 @@ def test_classification_carries_its_structure():
 
 def test_certificate_tol_is_the_jordan_tolerance():
     assert certificate_tol is jordan_residual_tol
+
+
+_TWO_BY_TWO = {
+    "real": ([[1.0, 0.0], [0.0, 2.0]], Verdict.STRICT_ACHIEVABLE),
+    "real-mixed-signs": ([[1.0, 0.0], [0.0, -3.0]], Verdict.STRICT_ACHIEVABLE),
+    "rotation": ([[0.0, 1.0], [-1.0, 0.0]], Verdict.IMPOSSIBLE),
+    "boundary-pair": ([[-1.0, 1.0], [-1.0, -1.0]], Verdict.NON_STRICT_ONLY),
+    "dominant-pair": ([[-2.0, 1.0], [-1.0, -2.0]], Verdict.STRICT_ACHIEVABLE),
+}
+
+
+@pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+@pytest.mark.parametrize("case", list(_TWO_BY_TWO))
+def test_closed_form_2x2_agrees_with_classify_at_large_scale(case, c):
+    # from about 1e154 the plain trace/determinant quadratic overflows
+    m, verdict = _TWO_BY_TWO[case]
+    a = c * np.array(m)
+    closed = classify_2x2(a)
+    assert closed.verdict is classify(a).verdict is verdict
+    values = [e.value for e in closed.structure.real_eigs]
+    values += [v for p in closed.structure.complex_pairs for v in (p.alpha, p.beta)]
+    assert np.isfinite(values).all()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ddsim
 from ddsim import (Axis, as_matrix, comparison_matrix, gershgorin_discs,
                    is_diag_dominant, similarity_residual)
 from ddsim.core import _frobenius, _scale
@@ -128,6 +129,42 @@ def test_scale_keeps_the_plain_norm_bits_and_survives_overflow():
 def test_dominance_rejects_negative_or_non_finite_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         is_diag_dominant([[-3, 1], [1, -3]], Axis.ROW, strict=True, tol=tol)
+
+
+_BOUNDARY_PAIR = [[-1.0, 1.0], [-1.0, -1.0]]
+_METZLER_HURWITZ = [[-3.0, 1.0], [1.0, -3.0]]
+_TOLERANCE_ARGUMENTS = {
+    "classify-tol": lambda v: ddsim.classify(_BOUNDARY_PAIR, tol=v),
+    "classify-cluster_tol": lambda v: ddsim.classify(_BOUNDARY_PAIR, cluster_tol=v),
+    "classify_2x2-tol": lambda v: ddsim.classify_2x2(_BOUNDARY_PAIR, tol=v),
+    "eigen_structure-cluster_tol":
+        lambda v: ddsim.eigen_structure(_BOUNDARY_PAIR, cluster_tol=v),
+    "real_jordan_form-cluster_tol":
+        lambda v: ddsim.real_jordan_form(_BOUNDARY_PAIR, cluster_tol=v),
+    "build_real-tol": lambda v: ddsim.build_real_dd_transform(
+        _BOUNDARY_PAIR, ddsim.Target.NON_STRICT, tol=v),
+    "build_real-cluster_tol": lambda v: ddsim.build_real_dd_transform(
+        _BOUNDARY_PAIR, ddsim.Target.NON_STRICT, cluster_tol=v),
+    "build_complex-tol": lambda v: ddsim.build_complex_dd_transform(_BOUNDARY_PAIR, tol=v),
+    "build_complex-cluster_tol":
+        lambda v: ddsim.build_complex_dd_transform(_BOUNDARY_PAIR, cluster_tol=v),
+    "scale_jordan_to_dd-borderline_tol": lambda v: ddsim.scale_jordan_to_dd(
+        ddsim.real_jordan_form(_BOUNDARY_PAIR), ddsim.Target.NON_STRICT, borderline_tol=v),
+    "is_hurwitz-tol": lambda v: ddsim.is_hurwitz(_METZLER_HURWITZ, v),
+    "is_m_matrix-tol": lambda v: ddsim.is_m_matrix(comparison_matrix(_METZLER_HURWITZ), v),
+    "is_h_matrix-tol": lambda v: ddsim.is_h_matrix(_METZLER_HURWITZ, v),
+    "metzler_hurwitz_scaling-tol":
+        lambda v: ddsim.metzler_hurwitz_scaling(_METZLER_HURWITZ, v),
+    "h_matrix_scaling-tol": lambda v: ddsim.h_matrix_scaling(_METZLER_HURWITZ, v),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("argument", list(_TOLERANCE_ARGUMENTS))
+def test_every_tolerance_argument_must_be_finite_and_nonnegative(argument, value):
+    name = argument.split("-")[1]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
+        _TOLERANCE_ARGUMENTS[argument](value)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
-"""One spectral pass per public call, counted at the ``numpy.linalg`` boundary."""
+"""One spectral pass per public call, counted at the ``numpy.linalg`` boundary,
+and one ``||A||_F`` per call."""
 
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from _gen import spectrum_matrix
 from ddsim import (Target, build_complex_dd_transform, build_real_dd_transform,
                    classify)
+import ddsim.core
 from ddsim.cli import main as cli_main
 
 #: SVDs that verify a real or complex certificate: the Jordan basis
@@ -32,6 +34,20 @@ def linalg_calls(monkeypatch):
 
     for name in ("eig", "eigvals", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+@pytest.fixture
+def frobenius_calls(monkeypatch):
+    """Number of Frobenius norms taken through ``core._frobenius``."""
+    calls = Counter()
+    frobenius = ddsim.core._frobenius
+
+    def counting(x):
+        calls["frobenius"] += 1
+        return frobenius(x)
+
+    monkeypatch.setattr(ddsim.core, "_frobenius", counting)
     return calls
 
 
@@ -66,3 +82,16 @@ def test_cli_classify_is_one_eigen_solve(tmp_path, capsys, separated8, linalg_ca
     capsys.readouterr()
     assert linalg_calls["eig"] + linalg_calls["eigvals"] == 1
     assert linalg_calls["svd"] == 0
+
+
+# Frobenius norms per public call: the scale ``1 + ||A||_F``, plus the
+# numerators of the Jordan and certificate residuals when a certificate
+# is built.
+@pytest.mark.parametrize("call, norms", [
+    (classify, 1),
+    (lambda a: build_real_dd_transform(a, Target.STRICT), 3),
+    (build_complex_dd_transform, 3),
+], ids=["classify", "build_real", "build_complex"])
+def test_one_scale_per_public_call(separated8, frobenius_calls, call, norms):
+    call(separated8)
+    assert frobenius_calls["frobenius"] == norms

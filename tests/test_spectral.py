@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gen import spectrum_matrix, well_conditioned
 from ddsim import (ComplexJordanBlock, RealJordanBlock, eigen_structure,
                    jordan_residual_tol, real_jordan_form, similarity_residual)
+from ddsim.core import _scale
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
-from ddsim.spectral import _checked_residual
+from ddsim.spectral import AMBIGUITY_FACTOR, _checked_residual, _group, _Spectrum
 
 
 def test_eigen_structure_triangular():
@@ -175,8 +178,155 @@ def test_cluster_ambiguity_raised_for_near_tolerance_gap():
 @pytest.mark.parametrize("what", ["Jordan", "certificate"])
 def test_residual_limit_names_its_check(what):
     a = np.diag([-2.0, -3.0])
-    assert _checked_residual(a, np.eye(2), a, what) == 0.0
+    assert _checked_residual(a, np.eye(2), a, _scale(a), what) == 0.0
     swapped = np.diag([-3.0, -2.0])
     with pytest.raises(IllConditionedJordan,
                        match=rf"^{what} residual 3\.071e-01 exceeds tolerance 4\.606e-06$"):
-        _checked_residual(a, np.eye(2), swapped, what)
+        _checked_residual(a, np.eye(2), swapped, _scale(a), what)
+
+
+def _reference_group(values, tol, kind):
+    """The union-find grouping over a numpy array that ``_group`` replaced,
+    kept as the reference it must match bit for bit."""
+    vals = values.tolist()
+    parent = list(range(len(vals)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    near = []
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            gap = abs(vals[i] - vals[j])
+            if gap <= AMBIGUITY_FACTOR * tol:
+                near.append((i, j, gap))
+                if gap <= tol:
+                    parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(vals)):
+        groups.setdefault(find(i), []).append(i)
+    groups = list(groups.values())
+    means = [values[g].mean() if len(g) > 1 else values[g[0]] for g in groups]
+    order = sorted(range(len(groups)), key=lambda k: (means[k].real, means[k].imag))
+    groups = [groups[k] for k in order]
+    means = [means[k] for k in order]
+
+    rank = {i: r for r, g in enumerate(groups) for i in g}
+    cross = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), gap)
+                   for i, j, gap in near if rank[i] != rank[j])
+    if cross:
+        i, j, gap = cross[0]
+        merged = [list(values[g]) for k, g in enumerate(groups) if k not in (i, j)]
+        merged.append(list(values[groups[i] + groups[j]]))
+        raise ClusterAmbiguity(
+            f"{kind} eigenvalue clusters at {means[i]:.6g} and {means[j]:.6g} "
+            f"are separated by {gap:.3e}, within {AMBIGUITY_FACTOR}x the "
+            f"clustering tolerance {tol:.3e}",
+            groupings=[[list(values[g]) for g in groups], merged],
+        )
+    return groups, means
+
+
+def _reference_clusters(w, tol):
+    """The numpy realness split and cluster summaries ``_Spectrum.clusters``
+    replaced: per kind, ``(rep, alg_mult, radius)`` of each cluster."""
+    imag = w.imag
+    near_real = np.abs(imag) <= tol
+    if np.any((np.abs(imag) > tol) & (np.abs(imag) <= AMBIGUITY_FACTOR * tol)):
+        raise ClusterAmbiguity(
+            "an eigenvalue sits near the real axis within "
+            f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
+            "its realness cannot be decided",
+            groupings=[list(w[near_real].real), list(w.real)],
+        )
+    real_idx = np.flatnonzero(near_real)
+    real_idx = real_idx[np.argsort(w[real_idx].real, kind="stable")]
+    out = []
+    for values, pairs in ((w[real_idx].real, False), (w[np.flatnonzero(imag > tol)], True)):
+        summaries = []
+        for g, mean in zip(*_reference_group(values, tol, "complex" if pairs else "real")):
+            rep = complex(mean)
+            radius = float(np.abs(values[g] - rep).max()) if len(g) > 1 else 0.0
+            summaries.append((rep, len(g), radius))
+        out.append(summaries)
+    return out
+
+
+def _bits(x):
+    """Exact bits of nested lists and tuples of numbers; other leaves as is."""
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, (float, complex, np.floating, np.complexfloating)):
+        z = complex(x)
+        return z.real.hex(), z.imag.hex()
+    return x
+
+
+def _outcome(fn):
+    try:
+        return _bits(fn())
+    except ClusterAmbiguity as exc:
+        return str(exc), _bits(exc.groupings)
+
+
+#: Cluster bands (absolute) and gaps between neighbours, in multiples of the band.
+_BANDS = (1e-7, 1e-3, 0.25)
+_GAPS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 10.0)
+
+
+@st.composite
+def _values_to_group(draw):
+    tol = draw(st.sampled_from(_BANDS))
+    pairs = draw(st.booleans())
+    z = complex(draw(st.floats(-10, 10)), draw(st.floats(50, 100)) if pairs else 0.0)
+    vals = [z]
+    for _ in range(draw(st.integers(0, 7))):
+        step = draw(st.sampled_from((1.0, 1j, -1.0, (1 + 1j) / 2 ** 0.5))) if pairs else 1.0
+        vals.append(vals[-1] + draw(st.sampled_from(_GAPS)) * tol * step)
+    vals = draw(st.permutations(vals))
+    return (vals if pairs else [v.real for v in vals]), tol, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_to_group())
+def test_group_matches_the_reference_union_find(case):
+    vals, tol, pairs = case
+    kind = "complex" if pairs else "real"
+    assert (_outcome(lambda: _group(vals, tol, kind))
+            == _outcome(lambda: _reference_group(np.array(vals), tol, kind)))
+
+
+@st.composite
+def _spectra(draw):
+    tol = draw(st.sampled_from(_BANDS))
+    w = []
+    for _ in range(draw(st.integers(1, 6))):
+        re = draw(st.one_of(st.sampled_from((-1.0, 0.0, 1.0, 1.0 + tol, 1.0 + 2.5 * tol)),
+                            st.floats(-10, 10)))
+        if draw(st.booleans()):
+            # a conjugate pair whose imaginary part may sit near the band
+            im = draw(st.sampled_from(_GAPS[:-1] + (3.0, 1e3))) * tol
+            w += [complex(re, im), complex(re, -im)]
+        else:
+            w.append(complex(re, 0.0))
+    w = np.array(draw(st.permutations(w)))
+    # eigvals returns a real array when the whole spectrum is real
+    if not w.imag.any() and draw(st.booleans()):
+        w = w.real
+    return w, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spectra())
+def test_clusters_match_the_reference_realness_and_grouping(case):
+    w, tol = case
+    spectrum = _Spectrum(np.eye(1), 0.0, vectors=False)
+    spectrum.values, spectrum.tol = w, tol
+
+    def summaries():
+        return [[(c.rep, c.alg_mult, c.radius) for c in kind] for kind in spectrum.clusters]
+
+    assert _outcome(summaries) == _outcome(lambda: _reference_clusters(w, tol))
