@@ -2,9 +2,12 @@
 
 The real path rides on the real Jordan form: a positive diagonal matrix with
 per-chain geometric weights shrinks every coupling entry until each row keeps
-a prescribed fraction of its dominance slack.  The complex path additionally
-diagonalises each rotation-like cell with the fixed complex 2x2 transform, so
-any nonsingular real matrix ends up strictly dominant in the magnitude sense.
+a prescribed fraction of its dominance slack.  The complex path takes its
+chain basis from the complex chain vectors, so each rotation-like cell is
+diagonal and any nonsingular real matrix ends up strictly dominant in the
+magnitude sense.  Each certificate is verified once: every weight is >= 1 and
+the complex basis is a unitary image of the real one, so its residual
+``||D U (P_J A - J P_J)||_F`` is never below the Jordan residual.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol, is_borderline
-from .core import (Axis, DominanceReport, _diag_similarity, _tolerance, as_matrix,
-                   is_diag_dominant)
+from .core import Axis, DominanceReport, _diag_similarity, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
-from .spectral import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock,
-                       RealJordanForm, _assemble_jordan, _checked_residual, _Spectrum,
-                       jordan_residual_tol)
+from .spectral import (CLUSTER_TOL, RealJordanBlock, RealJordanForm, _assemble_jordan,
+                       _checked_residual, _Spectrum, jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
 MARGIN_FRACTION = 0.5
@@ -87,6 +88,7 @@ def _scaled(blocks, j, slacks, margin):
     slacks are never read, stay at weight 1.  Each unit coupling then shrinks
     to at most ``margin`` times the smallest slack among the longer chains:
     ``rho = max(2, 2 / (margin * min(slacks)))``, or 1 when there are none.
+    A rotation cell whose slack is None is pinned at exact |alpha| = |beta|.
     Raises :class:`IllConditionedJordan` when a weight is not a finite float.
     """
     chains = [(b.size, 1) if isinstance(b, RealJordanBlock) else (b.chain_length, 2)
@@ -113,7 +115,16 @@ def _scaled(blocks, j, slacks, margin):
         for k in range(length):
             weights.extend((rho ** k,) * cell)
     d = np.array(weights)
-    return d, _diag_similarity(j, d)
+    b_mat = _diag_similarity(j, d)
+    if None in slacks:
+        pos = 0
+        for b, slack in zip(blocks, slacks):
+            if slack is None:
+                mag = abs(b.alpha)
+                b_mat[pos, pos + 1] = mag
+                b_mat[pos + 1, pos] = -mag
+            pos += b.dim
+    return d, b_mat
 
 
 def _verified(spectrum, p, b, target, miss_message) -> SimilarityCertificate:
@@ -122,7 +133,7 @@ def _verified(spectrum, p, b, target, miss_message) -> SimilarityCertificate:
     otherwise :class:`IllConditionedJordan`, with ``miss_message`` for a
     missed target."""
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
-    dominance = is_diag_dominant(b, Axis.ROW, strict=(target is Target.STRICT), tol=0.0)
+    dominance = _dominance(b, Axis.ROW, target is Target.STRICT, 0.0)
     if not dominance.satisfied:
         raise IllConditionedJordan(miss_message)
     return SimilarityCertificate(P=p, B=b, dominance=dominance,
@@ -144,18 +155,8 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     _tolerance(borderline_tol, "borderline_tol")
-    blocks = jordan.blocks
-    slacks = [_block_slack(b, target, borderline_tol) for b in blocks]
-    d, b_mat = _scaled(blocks, jordan.J, slacks, margin)
-    if None in slacks:
-        pos = 0
-        for b, slack in zip(blocks, slacks):
-            if slack is None:
-                # pin the boundary cell at exact |alpha| = |beta|
-                mag = abs(b.alpha)
-                b_mat[pos, pos + 1] = mag
-                b_mat[pos + 1, pos] = -mag
-            pos += b.dim
+    slacks = [_block_slack(b, target, borderline_tol) for b in jordan.blocks]
+    d, b_mat = _scaled(jordan.blocks, jordan.J, slacks, margin)
     return np.diag(d), b_mat
 
 
@@ -166,7 +167,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
 
     Raises :class:`NotAchievable` when the classification rules the target
     out, before any chain is built, and propagates Jordan failures.  The
-    verdict and the Jordan form come from one spectral pass.  Couplings
+    verdict and the chain basis come from one spectral pass.  Couplings
     shrink to ``MARGIN_FRACTION`` of the chain slack.  The returned
     certificate is checked independently of the construction: dominance is
     recomputed from ``B`` and the residual from the triple.
@@ -184,16 +185,12 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
             f"verdict {verdict.value} does not permit target {target.value}",
             classification=verdict)
 
-    jordan = spectrum.jordan_form()
-    d_mat, b_mat = scale_jordan_to_dd(jordan, target, borderline_tol=tol)
-    p = np.diag(d_mat)[:, None] * jordan.P
-    return _verified(spectrum, p, b_mat, target,
+    blocks, p_j = spectrum.chain_inverse()
+    slacks = [_block_slack(b, target, tol) for b in blocks]
+    d, b_mat = _scaled(blocks, _assemble_jordan(blocks, a.shape[0]), slacks, MARGIN_FRACTION)
+    return _verified(spectrum, d[:, None] * p_j, b_mat, target,
                      "constructed matrix misses the dominance target; the input "
                      "is too close to a classification boundary")
-
-
-#: Fixed 2x2 complex transform sending [[a, b], [-b, a]] to diag(a+bj, a-bj).
-_CELL_DIAGONALIZER = np.array([[0.5j, 0.5], [0.5j, -0.5]])
 
 
 def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
@@ -208,31 +205,19 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    n = a.shape[0]
     spectrum = _Spectrum(a, cluster_tol, vectors=True)
     zero_tol = _zero_tol(tol, spectrum.scale)
     if float(np.abs(spectrum.values).min()) <= zero_tol:
         raise SingularInput(
             f"an eigenvalue lies within {zero_tol:.3e} of zero")
 
-    jordan = spectrum.jordan_form()
-    blocks = jordan.blocks
-
-    cell_map = np.eye(n, dtype=complex)
-    pos = 0
-    slacks = []
-    for b in blocks:
-        if isinstance(b, ComplexJordanBlock):
-            for r in range(pos, pos + b.dim, 2):
-                cell_map[r:r + 2, r:r + 2] = _CELL_DIAGONALIZER
-            slacks.append(float(np.hypot(b.alpha, b.beta)) if b.chain_length > 1 else None)
-        else:
-            slacks.append(abs(b.eigenvalue))
-        pos += b.dim
-
-    d, b_mat = _scaled(blocks, _assemble_jordan(blocks, n, diagonal_cells=True),
+    blocks, p_j = spectrum.chain_inverse(diagonal_cells=True)
+    slacks = [abs(b.eigenvalue) if isinstance(b, RealJordanBlock)
+              else float(np.hypot(b.alpha, b.beta)) for b in blocks]
+    d, b_mat = _scaled(blocks, _assemble_jordan(blocks, a.shape[0], diagonal_cells=True),
                        slacks, MARGIN_FRACTION)
-    p = d[:, None] * (cell_map @ jordan.P)
+    # complex also when every eigenvalue is real and so is p_j
+    p = np.multiply(d[:, None], p_j, dtype=complex)
     return _verified(spectrum, p, b_mat, Target.STRICT,
                      "complex construction missed strict dominance; eigenvalues "
                      "are too close to zero for the working precision")

@@ -136,6 +136,12 @@ def is_diag_dominant(a, axis: Axis = Axis.ROW, strict: bool = False,
     """
     a = _square(a)
     tol = default_dominance_tol(a) if tol is None else _tolerance(tol)
+    return _dominance(a, axis, strict, tol)
+
+
+def _dominance(a, axis, strict, tol) -> DominanceReport:
+    """:func:`is_diag_dominant` of an ``a`` the program built itself, with a
+    ``tol`` already validated."""
     margins = np.abs(np.diag(a)) - _off_diagonal_sums(a, axis)
     return DominanceReport(
         axis=axis,
@@ -169,9 +175,10 @@ def gershgorin_discs(a, axis: Axis = Axis.ROW) -> list[GershgorinDisc]:
 def _singular_ratio(m) -> str | None:
     """``"sv ratio lo / hi"`` when ``m`` is numerically singular, else None:
     its smallest singular value is below ``SINGULAR_SV_RTOL`` times the
-    largest, or the largest is 0."""
+    largest, the largest is 0, or either is not a number (an overflowed
+    ``m`` gives NaN singular values)."""
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_SV_RTOL * sv[0]:
+    if not (sv[0] > 0.0 and sv[-1] >= SINGULAR_SV_RTOL * sv[0]):
         return f"sv ratio {sv[-1]:.3e} / {sv[0]:.3e}"
     return None
 
@@ -190,16 +197,15 @@ def similarity_residual(a, p, b) -> float:
     Raises :class:`SingularTransform` when the smallest singular value of
     ``p`` falls below ``SINGULAR_SV_RTOL`` times the largest.
     """
-    a = _square(a)
+    a, p, b = _square(a), _square(p), _square(b)
+    if not (a.shape == p.shape == b.shape):
+        raise ValueError("a, p, b must share one square shape")
     return _residual(a, p, b, _scale(a))
 
 
 def _residual(a, p, b, scale) -> float:
-    """:func:`similarity_residual` of an ``a`` already validated, whose
-    ``_scale`` is ``scale``; ``p`` and ``b`` are validated here."""
-    p, b = _square(p), _square(b)
-    if not (a.shape == p.shape == b.shape):
-        raise ValueError("a, p, b must share one square shape")
+    """:func:`similarity_residual` of matrices already validated or built by
+    the program, where ``scale`` is ``_scale(a)``."""
     ratio = _singular_ratio(p)
     if ratio:
         raise SingularTransform(f"transform is numerically singular ({ratio})")

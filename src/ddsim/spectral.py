@@ -27,6 +27,8 @@ AMBIGUITY_FACTOR = 2.0
 _TOP_SELECT_TOL = 1e-6
 #: Residual limit relative to ``_scale(a)``.
 _RESIDUAL_RTOL = 1e-6
+#: Norm of a unit pair vector's columns ``(w, conj(w))`` taken together.
+_SQRT2 = np.sqrt(2.0)
 
 
 def jordan_residual_tol(a) -> float:
@@ -359,11 +361,15 @@ class _Spectrum:
                                     else RealEigenvalue(lam.real, alg, geo))
         return EigenStructure(*map(tuple, found))
 
-    def jordan_form(self) -> RealJordanForm:
-        """Real Jordan form from the clusters' chains, verified by the
-        basis conditioning and the similarity residual."""
-        a = self.a
-        n = a.shape[0]
+    def chain_inverse(self, diagonal_cells=False):
+        """``(blocks, inv(Q))`` for the basis ``Q`` of the clusters' Jordan
+        chains, once ``Q`` passes the singular-value ratio test.  A pair's
+        chain vector ``w`` gives the columns ``(Re w, Im w)``, or with
+        ``diagonal_cells`` the complex columns ``(w, conj(w)) / sqrt(2)``,
+        which turn each rotation cell into ``diag(alpha + beta j,
+        alpha - beta j)``."""
+        cell = ((lambda w: (w / _SQRT2, w.conj() / _SQRT2)) if diagonal_cells
+                else (lambda w: (w.real, w.imag)))
         blocks = []
         columns = []
         for pairs, clusters in enumerate(self.clusters):
@@ -372,22 +378,19 @@ class _Spectrum:
                 for chain in cluster.chains():
                     if pairs:
                         blocks.append(ComplexJordanBlock(lam.real, lam.imag, len(chain)))
-                        columns.extend(part for w in chain for part in (w.real, w.imag))
+                        columns.extend(part for w in chain for part in cell(w))
                     else:
                         blocks.append(RealJordanBlock(lam.real, len(chain)))
                         columns.extend(chain)
 
-        if sum(b.dim for b in blocks) != n:
+        if sum(b.dim for b in blocks) != self.a.shape[0]:
             raise IllConditionedJordan(
                 "block dimensions do not add up to the matrix dimension")
         q = np.column_stack(columns)
         ratio = _singular_ratio(q)
         if ratio:
             raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
-        p = np.linalg.inv(q)
-        j = _assemble_jordan(blocks, n)
-        return RealJordanForm(J=j, P=p, blocks=tuple(blocks),
-                              residual=_checked_residual(a, p, j, self.scale, "Jordan"))
+        return tuple(blocks), np.linalg.inv(q)
 
 
 def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
@@ -439,4 +442,8 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     final residual check fails; callers may retry with another
     ``cluster_tol``.
     """
-    return _Spectrum(as_matrix(a), cluster_tol, vectors=True).jordan_form()
+    spectrum = _Spectrum(as_matrix(a), cluster_tol, vectors=True)
+    blocks, p = spectrum.chain_inverse()
+    j = _assemble_jordan(blocks, p.shape[0])
+    return RealJordanForm(J=j, P=p, blocks=blocks, residual=_checked_residual(
+        spectrum.a, p, j, spectrum.scale, "Jordan"))

@@ -13,9 +13,9 @@ import pytest
 from _gen import chain_matrix, spectrum_matrix
 from ddsim import (CLUSTER_TOL, Target, Verdict, as_matrix, build_real_dd_transform,
                    certificate_tol, classify, classify_2x2, eigen_structure,
-                   jordan_residual_tol)
+                   jordan_residual_tol, similarity_residual)
 from ddsim.errors import DdsimError, NotAchievable, PreconditionViolated
-from ddsim.spectral import _Spectrum
+from ddsim.spectral import _assemble_jordan, _Spectrum
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12])
@@ -28,12 +28,12 @@ def test_eigenvector_path_matches_filtration(n):
         for cluster in [c for group in from_filtration.clusters for c in group]:
             assert cluster.vector is not None
             cluster.vector = None
-        form_eig = from_eig.jordan_form()
-        form_filtration = from_filtration.jordan_form()
-        assert form_eig.blocks == form_filtration.blocks
-        np.testing.assert_array_equal(form_eig.J, form_filtration.J)
-        assert form_eig.residual <= jordan_residual_tol(a)
-        assert form_filtration.residual <= jordan_residual_tol(a)
+        blocks_eig, p_eig = from_eig.chain_inverse()
+        blocks_filtration, p_filtration = from_filtration.chain_inverse()
+        assert blocks_eig == blocks_filtration
+        j = _assemble_jordan(blocks_eig, n)
+        assert similarity_residual(a, p_eig, j) <= jordan_residual_tol(a)
+        assert similarity_residual(a, p_filtration, j) <= jordan_residual_tol(a)
 
 
 def _agreement_families():

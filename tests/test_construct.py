@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from _gen import spectrum_matrix
+from _gen import chain_matrix, spectrum_matrix
 from ddsim import (Axis, Target, Verdict, build_complex_dd_transform,
                    build_real_dd_transform, certificate_tol, classify, is_diag_dominant,
                    real_jordan_form, scale_jordan_to_dd, similarity_residual)
@@ -255,28 +255,53 @@ def test_real_non_strict_build_bits_pin_boundary_beside_scaled_chain():
         "0x0.0p+0 0x0.0p+0 -0x1.ffffffffffffep-1 -0x1.ffffffffffffep-1"]
 
 
+#: The complex ``P`` of the pair chain below when it was ``M P_J``, with
+#: ``P_J`` the inverse of the real chain basis and ``M`` the fixed 2x2 cell
+#: map ``[[j/2, 1/2], [j/2, -1/2]]``: real parts, then imaginary parts.
+_CELL_MAP_P = ([
+    "-0x1.d2d62188b5d8dp+0 -0x1.4d9be2e6bce93p-1 -0x1.b830e1ceb7430p-1 -0x1.aa53fb9fe9819p-4",
+    "0x1.d2d62188b5d8dp+0 0x1.4d9be2e6bce93p-1 0x1.b830e1ceb7430p-1 0x1.aa53fb9fe9819p-4",
+    "-0x1.ed7b6142b4701p+0 0x1.82e6625aba1a1p+0 -0x1.ed7b6142b46e9p+0 -0x1.82e6625aba19ap+0",
+    "0x1.ed7b6142b4701p+0 -0x1.82e6625aba1a1p+0 0x1.ed7b6142b46e9p+0 0x1.82e6625aba19ap+0",
+], [
+    "-0x1.4d9be2e6bcf2dp-1 0x1.d2d62188b5d86p+0 0x1.aa53fb9fe92b4p-4 -0x1.b830e1ceb7438p-1",
+    "-0x1.4d9be2e6bcf2dp-1 0x1.d2d62188b5d86p+0 0x1.aa53fb9fe92b4p-4 -0x1.b830e1ceb7438p-1",
+    "-0x1.82e6625aba16fp+0 -0x1.ed7b6142b46dap+0 -0x1.82e6625aba17ep+0 0x1.ed7b6142b46e2p+0",
+    "-0x1.82e6625aba16fp+0 -0x1.ed7b6142b46dap+0 -0x1.82e6625aba17ep+0 0x1.ed7b6142b46e2p+0",
+])
+
+
+def _unhex(rows):
+    return np.array([[float.fromhex(x) for x in row.split()] for row in rows])
+
+
 def test_complex_build_bits_on_transformed_pair_chain():
     # a length-2 chain of the pair -1 +/- 2j, real verdict impossible
     a = [[2, 4, 3, -2], [-4, 0, -2, -1], [-3, -6, -4, 4], [-6, 1, -4, -2]]
     cert = build_complex_dd_transform(a)
     assert _hex(cert.P.real) == [
-        "-0x1.d2d62188b5d8dp+0 -0x1.4d9be2e6bce93p-1 -0x1.b830e1ceb7430p-1 "
-        "-0x1.aa53fb9fe9819p-4",
-        "0x1.d2d62188b5d8dp+0 0x1.4d9be2e6bce93p-1 0x1.b830e1ceb7430p-1 "
-        "0x1.aa53fb9fe9819p-4",
-        "-0x1.ed7b6142b4701p+0 0x1.82e6625aba1a1p+0 -0x1.ed7b6142b46e9p+0 "
-        "-0x1.82e6625aba19ap+0",
-        "0x1.ed7b6142b4701p+0 -0x1.82e6625aba1a1p+0 0x1.ed7b6142b46e9p+0 "
-        "0x1.82e6625aba19ap+0"]
+        "-0x1.d7cb5596c680bp-1 0x1.4a1a6c8e38da2p+1 0x1.2d759f3c450dcp-3 "
+        "-0x1.3743129a7487fp+0",
+        "-0x1.d7cb5596c6810p-1 0x1.4a1a6c8e38da1p+1 0x1.2d759f3c450b4p-3 "
+        "-0x1.3743129a7487fp+0",
+        "-0x1.11945eb2ebe11p+1 -0x1.5cf1c681fd2cap+1 -0x1.11945eb2ebe1ap+1 "
+        "0x1.5cf1c681fd2d2p+1",
+        "-0x1.11945eb2ebe11p+1 -0x1.5cf1c681fd2cep+1 -0x1.11945eb2ebe1ap+1 "
+        "0x1.5cf1c681fd2d5p+1"]
     assert _hex(cert.P.imag) == [
-        "-0x1.4d9be2e6bcf2dp-1 0x1.d2d62188b5d86p+0 0x1.aa53fb9fe92b4p-4 "
-        "-0x1.b830e1ceb7438p-1",
-        "-0x1.4d9be2e6bcf2dp-1 0x1.d2d62188b5d86p+0 0x1.aa53fb9fe92b4p-4 "
-        "-0x1.b830e1ceb7438p-1",
-        "-0x1.82e6625aba16fp+0 -0x1.ed7b6142b46dap+0 -0x1.82e6625aba17ep+0 "
-        "0x1.ed7b6142b46e2p+0",
-        "-0x1.82e6625aba16fp+0 -0x1.ed7b6142b46dap+0 -0x1.82e6625aba17ep+0 "
-        "0x1.ed7b6142b46e2p+0"]
+        "0x1.4a1a6c8e38da6p+1 0x1.d7cb5596c673ap-1 0x1.3743129a74871p+0 "
+        "0x1.2d759f3c45498p-3",
+        "-0x1.4a1a6c8e38da8p+1 -0x1.d7cb5596c672ap-1 -0x1.3743129a74876p+0 "
+        "-0x1.2d759f3c454bap-3",
+        "0x1.5cf1c681fd2e8p+1 -0x1.11945eb2ebe36p+1 0x1.5cf1c681fd2d8p+1 "
+        "0x1.11945eb2ebe32p+1",
+        "-0x1.5cf1c681fd2e7p+1 0x1.11945eb2ebe36p+1 -0x1.5cf1c681fd2d6p+1 "
+        "-0x1.11945eb2ebe32p+1"]
+    # the basis columns (w, conj w) / sqrt 2 are i / sqrt 2 times the cell
+    # map's (-i w, -i conj w), so every pair row of P is -i sqrt 2 times its
+    # row under the cell map; B is the same canonical matrix either way
+    cell_map_p = _unhex(_CELL_MAP_P[0]) + 1j * _unhex(_CELL_MAP_P[1])
+    np.testing.assert_allclose(cert.P, -1j * np.sqrt(2.0) * cell_map_p, rtol=0, atol=1e-14)
     lam = "-0x1.ffffffffffffbp-1"
     assert _hex(cert.B.real) == [
         f"{lam} 0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0",
@@ -288,6 +313,48 @@ def test_complex_build_bits_on_transformed_pair_chain():
         "0x0.0p+0 -0x1.ffffffffffff8p+0 0x0.0p+0 0x0.0p+0",
         "0x0.0p+0 0x0.0p+0 0x1.ffffffffffff8p+0 0x0.0p+0",
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.ffffffffffff8p+0"]
+
+
+# The certificate residual ||PA - BP||_F = ||D U (P_J A - J P_J)||_F, with
+# every weight d_i >= 1 and U unitary, is never below the Jordan residual, so
+# the builders need no Jordan check of their own.
+BUILDS = [lambda a: build_real_dd_transform(a, Target.STRICT),
+          lambda a: build_real_dd_transform(a, Target.NON_STRICT),
+          build_complex_dd_transform]
+
+
+@pytest.mark.parametrize("kind", ["real", "pair"])
+@pytest.mark.parametrize("length", [3, 4])
+def test_builders_refuse_chains_whose_jordan_residual_is_refused(kind, length):
+    rng = np.random.default_rng(7)
+    refused = 0
+    for _ in range(8):
+        a = chain_matrix(rng, kind, length)
+        try:
+            real_jordan_form(a)
+            continue
+        except IllConditionedJordan as err:
+            if "Jordan residual" not in str(err):
+                continue
+        refused += 1
+        for build in BUILDS:
+            with pytest.raises(IllConditionedJordan):
+                build(a)
+    assert refused >= 4
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12])
+def test_simple_spectrum_certificate_is_its_jordan_form(n):
+    # every chain has length 1, so every weight is 1 and the real certificate
+    # is the Jordan form bit for bit, residual included
+    rng = np.random.default_rng(61 + n)
+    for _ in range(10):
+        a = spectrum_matrix(rng, n, dominant_pairs_only=True)
+        jordan = real_jordan_form(a)
+        cert = build_real_dd_transform(a, Target.STRICT)
+        assert cert.P.tobytes() == jordan.P.tobytes()
+        assert cert.B.tobytes() == jordan.J.tobytes()
+        assert cert.residual == jordan.residual
 
 
 @pytest.mark.parametrize("a, message", [

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import ddsim
 from ddsim import (Axis, as_matrix, comparison_matrix, gershgorin_discs,
                    is_diag_dominant, similarity_residual)
-from ddsim.core import _frobenius, _scale
+from ddsim.core import _frobenius, _scale, _singular_ratio
 from ddsim.errors import SingularTransform
 
 matrices = arrays(np.float64, (3, 3),
@@ -112,6 +112,44 @@ def test_as_matrix_rejects(bad):
 def test_every_validator_gives_the_same_message(bad, message, check):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(bad)
+
+
+_I2 = np.eye(2)
+_SHARED_SHAPE = "a, p, b must share one square shape"
+
+
+# the builders pass their own P and B unvalidated; these public entries are
+# where a caller's matrices are checked
+@pytest.mark.parametrize("p, b, message", [
+    (np.ones((2, 3)), _I2, "matrix must be square, got shape (2, 3)"),
+    (_I2, np.ones((2, 3), dtype=complex), "matrix must be square, got shape (2, 3)"),
+    (np.diag([np.inf, 1.0]), _I2, "matrix entries must be finite"),
+    (_I2, np.diag([complex(1.0, np.nan), 1.0]), "matrix entries must be finite"),
+    (np.eye(3), _I2, _SHARED_SHAPE),
+    (_I2, np.eye(3, dtype=complex), _SHARED_SHAPE),
+], ids=["p-shape", "b-shape", "p-finite", "b-finite", "p-size", "b-size"])
+def test_similarity_residual_validates_p_and_b(p, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        similarity_residual(_I2, p, b)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.ones((2, 3), dtype=complex), "matrix must be square, got shape (2, 3)"),
+    (np.diag([complex(np.inf, 1.0), 1.0]), "matrix entries must be finite"),
+])
+def test_dominance_validates_complex_input(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        is_diag_dominant(bad, tol=0.0)
+
+
+@pytest.mark.parametrize("m", [
+    [[np.inf, 1.0], [0.0, 1.0]],   # LAPACK returns NaN singular values
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 1.0], [1.0, 1.0]],
+])
+def test_singular_ratio_fails_closed(m):
+    assert _singular_ratio(np.array(m)) is not None
+    assert _singular_ratio(np.eye(2)) is None
 
 
 def test_scale_keeps_the_plain_norm_bits_and_survives_overflow():

@@ -1,5 +1,5 @@
 """One spectral pass per public call, counted at the ``numpy.linalg`` boundary,
-and one ``||A||_F`` per call."""
+one ``||A||_F`` per call, and one validation of ``A`` per certificate build."""
 
 from collections import Counter
 
@@ -12,10 +12,9 @@ from ddsim import (Target, build_complex_dd_transform, build_real_dd_transform,
 import ddsim.core
 from ddsim.cli import main as cli_main
 
-#: SVDs that verify a real or complex certificate: the Jordan basis
-#: singular-value ratio and the singularity tests of the Jordan and
-#: certificate residuals.
-VERIFICATION_SVDS = 3
+#: SVDs that verify a real or complex certificate: the chain basis
+#: singular-value ratio and the singularity test of the certificate residual.
+VERIFICATION_SVDS = 2
 
 
 @pytest.fixture
@@ -48,6 +47,20 @@ def frobenius_calls(monkeypatch):
         return frobenius(x)
 
     monkeypatch.setattr(ddsim.core, "_frobenius", counting)
+    return calls
+
+
+@pytest.fixture
+def square_calls(monkeypatch):
+    """Number of matrix validations through ``core._square``."""
+    calls = Counter()
+    square = ddsim.core._square
+
+    def counting(values):
+        calls["square"] += 1
+        return square(values)
+
+    monkeypatch.setattr(ddsim.core, "_square", counting)
     return calls
 
 
@@ -85,13 +98,23 @@ def test_cli_classify_is_one_eigen_solve(tmp_path, capsys, separated8, linalg_ca
 
 
 # Frobenius norms per public call: the scale ``1 + ||A||_F``, plus the
-# numerators of the Jordan and certificate residuals when a certificate
-# is built.
+# numerator of the certificate residual when a certificate is built.
 @pytest.mark.parametrize("call, norms", [
     (classify, 1),
-    (lambda a: build_real_dd_transform(a, Target.STRICT), 3),
-    (build_complex_dd_transform, 3),
+    (lambda a: build_real_dd_transform(a, Target.STRICT), 2),
+    (build_complex_dd_transform, 2),
 ], ids=["classify", "build_real", "build_complex"])
 def test_one_scale_per_public_call(separated8, frobenius_calls, call, norms):
     call(separated8)
     assert frobenius_calls["frobenius"] == norms
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: build_real_dd_transform(a, Target.STRICT),
+    build_complex_dd_transform,
+], ids=["build_real", "build_complex"])
+def test_builder_validates_only_its_input(separated8, square_calls, build):
+    # the P, J and B the builder makes are checked by the certificate
+    # residual and dominance, not validated again as inputs
+    build(separated8)
+    assert square_calls["square"] == 1
