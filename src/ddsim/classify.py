@@ -77,7 +77,7 @@ class TwoByTwoParams:
 
 def is_borderline(alpha: float, beta: float, tol: float = BORDERLINE_TOL) -> bool:
     """Whether ``|alpha| = |beta|`` within the relative tolerance band."""
-    return abs(abs(alpha) - abs(beta)) <= tol * (abs(alpha) + abs(beta))
+    return abs(abs(alpha) - abs(beta)) <= _tolerance(tol) * (abs(alpha) + abs(beta))
 
 
 def _classify_structure(structure: EigenStructure, tol: float,

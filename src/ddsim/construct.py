@@ -2,12 +2,14 @@
 
 The real path rides on the real Jordan form: a positive diagonal matrix with
 per-chain geometric weights shrinks every coupling entry until each row keeps
-a prescribed fraction of its dominance slack.  The complex path takes its
-chain basis from the complex chain vectors, so each rotation-like cell is
-diagonal and any nonsingular real matrix ends up strictly dominant in the
-magnitude sense.  Each certificate is verified once: every weight is >= 1 and
-the complex basis is a unitary image of the real one, so its residual
-``||D U (P_J A - J P_J)||_F`` is never below the Jordan residual.
+a prescribed fraction of its dominance slack.  This module picks only those
+weights; :func:`ddsim.spectral._assemble_jordan` writes the scaled matrix in
+one pass.  The complex path takes its chain basis from the complex chain
+vectors, so each rotation-like cell is diagonal and any nonsingular real
+matrix ends up strictly dominant in the magnitude sense.  Each certificate is
+verified once: every weight is >= 1 and the complex basis is a unitary image
+of the real one, so its residual ``||D U (P_J A - J P_J)||_F`` is never below
+the Jordan residual.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol, is_borderline
-from .core import Axis, DominanceReport, _diag_similarity, _dominance, _tolerance, as_matrix
+from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, RealJordanBlock, RealJordanForm, _assemble_jordan,
                        _checked_residual, _Spectrum, jordan_residual_tol)
@@ -80,28 +82,25 @@ def _block_slack(block, target, borderline_tol):
     return slack
 
 
-def _scaled(blocks, j, slacks, margin):
+def _scaled(blocks, slacks, margin, diagonal_cells=False):
     """Weights ``d`` and ``diag(d) J diag(d)^{-1}`` for the canonical matrix
-    ``j`` of ``blocks``, given one slack per block.
+    ``J`` of ``blocks``, given one slack per block: the chain ratio ``rho``
+    for :func:`_assemble_jordan`, which writes both in one pass.
 
     Coordinate k of a chain gets weight ``rho**k``; length-1 chains, whose
     slacks are never read, stay at weight 1.  Each unit coupling then shrinks
     to at most ``margin`` times the smallest slack among the longer chains:
-    ``rho = max(2, 2 / (margin * min(slacks)))``, or 1 when there are none.
+    ``rho = max(2, 2 / (margin * min(slacks)))``, unread when there are none.
     A rotation cell whose slack is None is pinned at exact |alpha| = |beta|.
     Raises :class:`IllConditionedJordan` when a weight is not a finite float.
     """
-    chains = [(b.size, 1) if isinstance(b, RealJordanBlock) else (b.chain_length, 2)
-              for b in blocks]
-    long_slacks = [s for s, (length, _) in zip(slacks, chains) if length > 1]
-    if long_slacks:
-        floor = margin * min(long_slacks)
-        # a floor that underflows to 0 leaves no finite rho
-        rho = max(2.0, 2.0 / floor) if floor > 0.0 else math.inf
-    else:
-        rho = 1.0
+    lengths = [b.size if isinstance(b, RealJordanBlock) else b.chain_length for b in blocks]
+    floor = margin * min((s for s, length in zip(slacks, lengths) if length > 1),
+                         default=math.inf)
+    # a floor that underflows to 0 leaves no finite rho
+    rho = max(2.0, 2.0 / floor) if floor > 0.0 else math.inf
     # rho >= 1, so the top weight of the longest chain is the largest
-    top = max((length for length, _ in chains), default=1) - 1
+    top = max(lengths, default=1) - 1
     try:
         finite = math.isfinite(rho ** top)
     except OverflowError:
@@ -110,28 +109,20 @@ def _scaled(blocks, j, slacks, margin):
         raise IllConditionedJordan(
             f"chain weight rho**{top} overflows (rho = {rho:.3e}); the margin "
             "or the smallest chain slack is too small")
-    weights = []
-    for length, cell in chains:
-        for k in range(length):
-            weights.extend((rho ** k,) * cell)
-    d = np.array(weights)
-    b_mat = _diag_similarity(j, d)
-    if None in slacks:
-        pos = 0
-        for b, slack in zip(blocks, slacks):
-            if slack is None:
-                mag = abs(b.alpha)
-                b_mat[pos, pos + 1] = mag
-                b_mat[pos + 1, pos] = -mag
-            pos += b.dim
-    return d, b_mat
+    pinned = {i for i, slack in enumerate(slacks) if slack is None}
+    return _assemble_jordan(blocks, diagonal_cells, rho, pinned)
 
 
-def _verified(spectrum, p, b, target, miss_message) -> SimilarityCertificate:
-    """The certificate for ``B = P A P^{-1}`` (``A`` is ``spectrum.a``) once
-    the residual is within ``certificate_tol`` and ``B`` meets ``target``;
-    otherwise :class:`IllConditionedJordan`, with ``miss_message`` for a
-    missed target."""
+def _certified(spectrum, target, slack, miss_message, diagonal_cells=False):
+    """The certificate ``B = P A P^{-1}`` (``A`` is ``spectrum.a``) with
+    ``P = diag(d) inv(Q)`` for the chain basis ``Q`` and ``(d, B)`` from
+    :func:`_scaled` at ``slack(block)`` per block, once the residual is within
+    ``certificate_tol`` and ``B`` meets ``target``; otherwise
+    :class:`IllConditionedJordan`, with ``miss_message`` for a missed target."""
+    blocks, p_j = spectrum.chain_inverse(diagonal_cells)
+    d, b = _scaled(blocks, list(map(slack, blocks)), MARGIN_FRACTION, diagonal_cells)
+    # with diagonal cells P is complex also when every eigenvalue is real
+    p = np.multiply(d[:, None], p_j, dtype=b.dtype)
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
     dominance = _dominance(b, Axis.ROW, target is Target.STRICT, 0.0)
     if not dominance.satisfied:
@@ -156,7 +147,7 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
         raise ValueError("margin must lie in (0, 1)")
     _tolerance(borderline_tol, "borderline_tol")
     slacks = [_block_slack(b, target, borderline_tol) for b in jordan.blocks]
-    d, b_mat = _scaled(jordan.blocks, jordan.J, slacks, margin)
+    d, b_mat = _scaled(jordan.blocks, slacks, margin)
     return np.diag(d), b_mat
 
 
@@ -185,12 +176,9 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
             f"verdict {verdict.value} does not permit target {target.value}",
             classification=verdict)
 
-    blocks, p_j = spectrum.chain_inverse()
-    slacks = [_block_slack(b, target, tol) for b in blocks]
-    d, b_mat = _scaled(blocks, _assemble_jordan(blocks, a.shape[0]), slacks, MARGIN_FRACTION)
-    return _verified(spectrum, d[:, None] * p_j, b_mat, target,
-                     "constructed matrix misses the dominance target; the input "
-                     "is too close to a classification boundary")
+    return _certified(spectrum, target, lambda b: _block_slack(b, target, tol),
+                      "constructed matrix misses the dominance target; the input "
+                      "is too close to a classification boundary")
 
 
 def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
@@ -211,13 +199,9 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
         raise SingularInput(
             f"an eigenvalue lies within {zero_tol:.3e} of zero")
 
-    blocks, p_j = spectrum.chain_inverse(diagonal_cells=True)
-    slacks = [abs(b.eigenvalue) if isinstance(b, RealJordanBlock)
-              else float(np.hypot(b.alpha, b.beta)) for b in blocks]
-    d, b_mat = _scaled(blocks, _assemble_jordan(blocks, a.shape[0], diagonal_cells=True),
-                       slacks, MARGIN_FRACTION)
-    # complex also when every eigenvalue is real and so is p_j
-    p = np.multiply(d[:, None], p_j, dtype=complex)
-    return _verified(spectrum, p, b_mat, Target.STRICT,
-                     "complex construction missed strict dominance; eigenvalues "
-                     "are too close to zero for the working precision")
+    return _certified(spectrum, Target.STRICT,
+                      lambda b: (abs(b.eigenvalue) if isinstance(b, RealJordanBlock)
+                                 else float(np.hypot(b.alpha, b.beta))),
+                      "complex construction missed strict dominance; eigenvalues "
+                      "are too close to zero for the working precision",
+                      diagonal_cells=True)

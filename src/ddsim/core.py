@@ -155,7 +155,11 @@ def _dominance(a, axis, strict, tol) -> DominanceReport:
 
 def comparison_matrix(a) -> np.ndarray:
     """Absolute values on the diagonal, negated absolute values elsewhere."""
-    a = as_matrix(a)
+    return _comparison(as_matrix(a))
+
+
+def _comparison(a) -> np.ndarray:
+    """:func:`comparison_matrix` of an ``a`` already validated."""
     m = -np.abs(a)
     np.fill_diagonal(m, np.abs(np.diag(a)))
     return m

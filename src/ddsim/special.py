@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Axis, DominanceReport, _diag_similarity, _singular_ratio,
-                   _tolerance, as_matrix, comparison_matrix, is_diag_dominant)
+from .core import (Axis, DominanceReport, _comparison, _diag_similarity, _dominance,
+                   _singular_ratio, _tolerance, as_matrix)
 from .errors import NumericallySingular, PreconditionViolated
 
 #: Default tolerance on eigenvalue real parts for Hurwitz / M-matrix tests.
@@ -38,45 +38,48 @@ class ScalingCertificate:
     diagonal_sign: DiagonalSign
 
 
-def _off_diagonal(a):
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return a[mask]
+def _z(a) -> bool:
+    """Every off-diagonal entry of a validated ``a`` is nonpositive."""
+    return bool(np.all(a[~np.eye(a.shape[0], dtype=bool)] <= 0.0))
 
 
 def is_z_matrix(a) -> bool:
     """All off-diagonal entries nonpositive (exact sign test)."""
-    return bool(np.all(_off_diagonal(as_matrix(a)) <= 0.0))
+    return _z(as_matrix(a))
 
 
 def is_metzler(a) -> bool:
     """All off-diagonal entries nonnegative (exact sign test)."""
-    return bool(np.all(_off_diagonal(as_matrix(a)) >= 0.0))
+    return _z(-as_matrix(a))
 
 
 def is_hurwitz(a, tol: float = HURWITZ_TOL) -> bool:
     """All eigenvalue real parts below ``-tol``."""
-    a = as_matrix(a)
-    _tolerance(tol)
+    return _hurwitz(as_matrix(a), _tolerance(tol))
+
+
+def _hurwitz(a, tol) -> bool:
     return bool(np.max(np.linalg.eigvals(a).real) < -tol)
 
 
 def is_m_matrix(a, tol: float = HURWITZ_TOL) -> bool:
     """Z-matrix whose eigenvalue real parts all exceed ``tol`` (nonsingular
     convention; singular M-matrices such as graph Laplacians test False)."""
-    a = as_matrix(a)
-    _tolerance(tol)
-    if not is_z_matrix(a):
-        return False
-    return bool(np.min(np.linalg.eigvals(a).real) > tol)
+    return _m_matrix(as_matrix(a), _tolerance(tol))
+
+
+def _m_matrix(a, tol) -> bool:
+    return _z(a) and bool(np.min(np.linalg.eigvals(a).real) > tol)
 
 
 def is_h_matrix(a, tol: float = HURWITZ_TOL) -> bool:
     """Comparison matrix is an M-matrix."""
-    return is_m_matrix(comparison_matrix(a), tol)
+    return _m_matrix(_comparison(as_matrix(a)), _tolerance(tol))
 
 
 def _positive_scaling(a) -> ScalingCertificate:
-    m = comparison_matrix(a)
+    """The certificate of both scalings, for an ``a`` already validated."""
+    m = _comparison(a)
     ratio = _singular_ratio(m)
     if ratio:
         raise NumericallySingular(f"comparison matrix is numerically singular ({ratio})")
@@ -88,7 +91,7 @@ def _positive_scaling(a) -> ScalingCertificate:
     # K = diag(d)^{-1}, rescaled so its largest entry is exactly 1
     k = d.min() / d
     b = _diag_similarity(a, k)
-    dominance = is_diag_dominant(b, Axis.ROW, strict=True, tol=0.0)
+    dominance = _dominance(b, Axis.ROW, True, 0.0)
     if not dominance.strict:
         raise NumericallySingular(
             "scaled matrix misses strict dominance at working precision")
@@ -106,9 +109,9 @@ def metzler_hurwitz_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     """
     a = as_matrix(a)
     _tolerance(tol)
-    if not is_metzler(a):
+    if not _z(-a):
         raise PreconditionViolated("matrix is not Metzler", offender=a)
-    if not is_hurwitz(a, tol):
+    if not _hurwitz(a, tol):
         raise PreconditionViolated("matrix is not Hurwitz", offender=a)
     return _positive_scaling(a)
 
@@ -121,8 +124,9 @@ def h_matrix_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     Hurwitz H-matrix is expected to come out all-negative.
     """
     a = as_matrix(a)
-    if not is_hurwitz(a, tol):
+    _tolerance(tol)
+    if not _hurwitz(a, tol):
         raise PreconditionViolated("matrix is not Hurwitz", offender=a)
-    if not is_h_matrix(a, tol):
+    if not _m_matrix(_comparison(a), tol):
         raise PreconditionViolated("matrix is not an H-matrix", offender=a)
     return _positive_scaling(a)

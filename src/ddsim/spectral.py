@@ -405,29 +405,36 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     return _Spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
 
 
-def _assemble_jordan(blocks, n, diagonal_cells=False) -> np.ndarray:
-    """Canonical matrix of ``blocks``: cells on the diagonal, identity
-    couplings one cell to the right inside each chain.  With
-    ``diagonal_cells`` each rotation cell is ``diag(alpha + beta j,
-    alpha - beta j)`` and the result is complex."""
-    j = np.zeros((n, n), dtype=complex if diagonal_cells else float)
+def _assemble_jordan(blocks, diagonal_cells=False, rho=1.0, pinned=()):
+    """Weights ``d`` and ``B = diag(d) J diag(d)^{-1}`` for the canonical
+    matrix ``J`` of ``blocks``, written in one pass: coordinate k of a chain
+    has weight ``rho**k``, so the identity cell coupling chain cells k and
+    k + 1 is scaled by ``rho**k / rho**(k + 1)``, and ``rho = 1`` gives ``J``.
+    With ``diagonal_cells`` each rotation cell is ``diag(alpha + beta j,
+    alpha - beta j)`` and ``B`` is complex; otherwise a block whose index is
+    in ``pinned`` has ``|alpha|`` for ``beta`` in its rotation cell."""
+    n = sum(b.dim for b in blocks)
+    out = np.zeros((n, n), dtype=complex if diagonal_cells else float)
+    weights = []
     pos = 0
-    for b in blocks:
+    for i, b in enumerate(blocks):
         if isinstance(b, RealJordanBlock):
             cell, length = [[b.eigenvalue]], b.size
         elif diagonal_cells:
             lam = complex(b.alpha, b.beta)
             cell, length = [[lam, 0.0], [0.0, lam.conjugate()]], b.chain_length
         else:
-            cell, length = [[b.alpha, b.beta], [-b.beta, b.alpha]], b.chain_length
+            beta = abs(b.alpha) if i in pinned else b.beta
+            cell, length = [[b.alpha, beta], [-beta, b.alpha]], b.chain_length
         size = len(cell)
-        for c in range(length):
-            r = pos + size * c
-            j[r:r + size, r:r + size] = cell
-            if c + 1 < length:
-                j[r:r + size, r + size:r + 2 * size] = np.eye(size)
+        for k in range(length):
+            r = pos + size * k
+            out[r:r + size, r:r + size] = cell
+            weights.extend((rho ** k,) * size)
+            if k + 1 < length:
+                np.fill_diagonal(out[r:r + size, r + size:], rho ** k / rho ** (k + 1))
         pos += b.dim
-    return j
+    return np.array(weights), out
 
 
 def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
@@ -444,6 +451,6 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     """
     spectrum = _Spectrum(as_matrix(a), cluster_tol, vectors=True)
     blocks, p = spectrum.chain_inverse()
-    j = _assemble_jordan(blocks, p.shape[0])
+    _, j = _assemble_jordan(blocks)
     return RealJordanForm(J=j, P=p, blocks=blocks, residual=_checked_residual(
         spectrum.a, p, j, spectrum.scale, "Jordan"))

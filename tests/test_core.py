@@ -188,6 +188,7 @@ _TOLERANCE_ARGUMENTS = {
         lambda v: ddsim.build_complex_dd_transform(_BOUNDARY_PAIR, cluster_tol=v),
     "scale_jordan_to_dd-borderline_tol": lambda v: ddsim.scale_jordan_to_dd(
         ddsim.real_jordan_form(_BOUNDARY_PAIR), ddsim.Target.NON_STRICT, borderline_tol=v),
+    "is_borderline-tol": lambda v: ddsim.is_borderline(1.0, 3.0, tol=v),
     "is_hurwitz-tol": lambda v: ddsim.is_hurwitz(_METZLER_HURWITZ, v),
     "is_m_matrix-tol": lambda v: ddsim.is_m_matrix(comparison_matrix(_METZLER_HURWITZ), v),
     "is_h_matrix-tol": lambda v: ddsim.is_h_matrix(_METZLER_HURWITZ, v),

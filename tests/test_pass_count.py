@@ -1,5 +1,6 @@
 """One spectral pass per public call, counted at the ``numpy.linalg`` boundary,
-one ``||A||_F`` per call, and one validation of ``A`` per certificate build."""
+one ``||A||_F`` per call, and one validation of ``A`` per certificate build
+and per structure test or scaling."""
 
 from collections import Counter
 
@@ -8,7 +9,8 @@ import pytest
 
 from _gen import spectrum_matrix
 from ddsim import (Target, build_complex_dd_transform, build_real_dd_transform,
-                   classify)
+                   classify, h_matrix_scaling, is_h_matrix, is_hurwitz, is_m_matrix,
+                   is_metzler, is_z_matrix, metzler_hurwitz_scaling)
 import ddsim.core
 from ddsim.cli import main as cli_main
 
@@ -117,4 +119,18 @@ def test_builder_validates_only_its_input(separated8, square_calls, build):
     # the P, J and B the builder makes are checked by the certificate
     # residual and dominance, not validated again as inputs
     build(separated8)
+    assert square_calls["square"] == 1
+
+
+_METZLER_HURWITZ = [[-3.0, 1.0, 0.5], [1.0, -3.0, 0.0], [0.2, 1.0, -2.0]]
+_M_MATRIX = [[3.0, -1.0, -0.5], [-1.0, 3.0, 0.0], [-0.2, -1.0, 2.0]]
+
+
+@pytest.mark.parametrize("call", [
+    is_z_matrix, is_metzler, is_hurwitz, is_m_matrix, is_h_matrix,
+    metzler_hurwitz_scaling, h_matrix_scaling,
+], ids=lambda call: call.__name__)
+def test_special_call_validates_once(square_calls, call):
+    # every test passes, so each call runs its whole body
+    assert call(_M_MATRIX if call in (is_z_matrix, is_m_matrix) else _METZLER_HURWITZ)
     assert square_calls["square"] == 1

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from _gen import spectrum_matrix, well_conditioned
 from ddsim import (ComplexJordanBlock, RealJordanBlock, eigen_structure,
                    jordan_residual_tol, real_jordan_form, similarity_residual)
-from ddsim.core import _scale
+from ddsim.core import _diag_similarity, _scale
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
-from ddsim.spectral import AMBIGUITY_FACTOR, _checked_residual, _group, _Spectrum
+from ddsim.spectral import (AMBIGUITY_FACTOR, _assemble_jordan, _checked_residual, _group,
+                            _Spectrum)
 
 
 def test_eigen_structure_triangular():
@@ -330,3 +331,52 @@ def test_clusters_match_the_reference_realness_and_grouping(case):
         return [[(c.rep, c.alg_mult, c.radius) for c in kind] for kind in spectrum.clusters]
 
     assert _outcome(summaries) == _outcome(lambda: _reference_clusters(w, tol))
+
+
+def _reference_scaled(blocks, diagonal_cells, rho, pinned):
+    """``(d, diag(d) J diag(d)^{-1})`` by the two-pass route: ``J`` at unit
+    weights, a diagonal similarity by the chain weights ``rho**k``, then each
+    pinned rotation cell rewritten at ``beta = |alpha|``."""
+    _, j = _assemble_jordan(blocks, diagonal_cells)
+    weights = []
+    for b in blocks:
+        length, cell = ((b.size, 1) if isinstance(b, RealJordanBlock)
+                        else (b.chain_length, 2))
+        for k in range(length):
+            weights.extend((rho ** k,) * cell)
+    d = np.array(weights)
+    out = _diag_similarity(j, d)
+    pos = 0
+    for i, b in enumerate(blocks):
+        if i in pinned:
+            out[pos, pos + 1] = abs(b.alpha)
+            out[pos + 1, pos] = -abs(b.alpha)
+        pos += b.dim
+    return d, out
+
+
+_REAL_CHAINS = (RealJordanBlock(-3.0, 4), RealJordanBlock(0.7, 1), RealJordanBlock(2.5, 2))
+_PAIR_CHAINS = (ComplexJordanBlock(-1.5, 0.7, 3), ComplexJordanBlock(2.0, 1.3, 1),
+                ComplexJordanBlock(0.3, 0.2, 2))
+_MIXED = (RealJordanBlock(-0.4, 2), ComplexJordanBlock(-1.1, 0.9, 2),
+          RealJordanBlock(5.0, 1), ComplexJordanBlock(3.0, 2.9, 1))
+#: a chain beside a pair just off the |alpha| = |beta| boundary, pinned onto it
+_BOUNDARY = (RealJordanBlock(-3.0, 2), ComplexJordanBlock(-1.0, 1.0 + 3e-10, 1))
+
+
+@pytest.mark.parametrize("blocks, diagonal_cells, pinned", [
+    (_REAL_CHAINS, False, ()),
+    (_PAIR_CHAINS, False, ()),
+    (_PAIR_CHAINS, True, ()),
+    (_MIXED, False, ()),
+    (_MIXED, True, ()),
+    (_BOUNDARY, False, {1}),
+], ids=["real", "pair", "pair-diagonal", "mixed", "mixed-diagonal", "boundary-pinned"])
+@pytest.mark.parametrize("rho", [1.0, 2.0, 2.0 / (0.5 * 0.13)])
+def test_one_pass_writer_matches_the_two_pass_route(blocks, diagonal_cells, pinned, rho):
+    d, out = _assemble_jordan(blocks, diagonal_cells, rho, pinned)
+    d_ref, out_ref = _reference_scaled(blocks, diagonal_cells, rho, pinned)
+    assert d.dtype == d_ref.dtype and d.tobytes() == d_ref.tobytes()
+    assert out.dtype == out_ref.dtype and out.tobytes() == out_ref.tobytes()
+    if pinned:
+        assert out[2, 3] == -out[3, 2] == abs(_BOUNDARY[1].alpha) != _BOUNDARY[1].beta
