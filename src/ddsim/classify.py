@@ -80,56 +80,53 @@ def is_borderline(alpha: float, beta: float, tol: float = BORDERLINE_TOL) -> boo
     return abs(abs(alpha) - abs(beta)) <= _tolerance(tol) * (abs(alpha) + abs(beta))
 
 
+#: Per case of an eigenvalue or pair ``e``: does it permit dominance, and its evidence.
+_CASES = {
+    "real-zero": (False, "|{e.value:.6g}| <= {zero_tol:.3e}"),
+    "real-nonzero": (True, "|{e.value:.6g}| > 0"),
+    "pair-zero": (False, "modulus {e.modulus:.6g} <= {zero_tol:.3e}"),
+    "pair-borderline-semisimple": (True, "|alpha| = |beta| within {tol:.3e}, non-defective"),
+    "pair-borderline-defective": (False, "|alpha| = |beta| within {tol:.3e}, "
+                                         "geometric {e.geo_mult} < algebraic {e.alg_mult}"),
+    "pair-dominant": (True, "|{e.alpha:.6g}| > |{e.beta:.6g}|"),
+    "pair-subdominant": (False, "|{e.alpha:.6g}| < |{e.beta:.6g}|"),
+}
+
+
+def _cases(structure: EigenStructure, tol: float, zero_tol: float):
+    """The case of each real eigenvalue, then each pair, and their verdict."""
+    cases = ["real-zero" if abs(e.value) <= zero_tol else "real-nonzero"
+             for e in structure.real_eigs]
+    for p in structure.complex_pairs:
+        if p.modulus <= zero_tol:
+            cases.append("pair-zero")
+        elif is_borderline(p.alpha, p.beta, tol):
+            cases.append("pair-borderline-semisimple" if p.geo_mult == p.alg_mult
+                         else "pair-borderline-defective")
+        else:
+            cases.append("pair-dominant" if abs(p.alpha) > abs(p.beta) else "pair-subdominant")
+    failed = {case for case in cases if not _CASES[case][0]}
+    if failed & {"real-zero", "pair-zero"}:
+        return cases, Verdict.OUT_OF_SCOPE_SINGULAR
+    if failed:
+        return cases, Verdict.IMPOSSIBLE
+    if "pair-borderline-semisimple" in cases:
+        return cases, Verdict.NON_STRICT_ONLY
+    return cases, Verdict.STRICT_ACHIEVABLE
+
+
 def _classify_structure(structure: EigenStructure, tol: float,
                         zero_tol: float) -> DDClassification:
-    findings = []
-    borderline = []
-
-    def add(kind, value, eig, case, condition, ok):
-        findings.append(Finding(kind=kind, value=value, alg_mult=eig.alg_mult,
-                                geo_mult=eig.geo_mult, case=case,
-                                condition=condition, ok=ok))
-
-    for e in structure.real_eigs:
-        if abs(e.value) <= zero_tol:
-            add("real", (e.value,), e, "real-zero",
-                f"|{e.value:.6g}| <= {zero_tol:.3e}", False)
-        else:
-            add("real", (e.value,), e, "real-nonzero", f"|{e.value:.6g}| > 0", True)
-
-    for p in structure.complex_pairs:
-        value = (p.alpha, p.beta)
-        if p.modulus <= zero_tol:
-            add("pair", value, p, "pair-zero",
-                f"modulus {p.modulus:.6g} <= {zero_tol:.3e}", False)
-        elif is_borderline(p.alpha, p.beta, tol):
-            borderline.append(value)
-            if p.geo_mult == p.alg_mult:
-                add("pair", value, p, "pair-borderline-semisimple",
-                    f"|alpha| = |beta| within {tol:.3e}, non-defective", True)
-            else:
-                add("pair", value, p, "pair-borderline-defective",
-                    f"|alpha| = |beta| within {tol:.3e}, "
-                    f"geometric {p.geo_mult} < algebraic {p.alg_mult}", False)
-        elif abs(p.alpha) > abs(p.beta):
-            add("pair", value, p, "pair-dominant",
-                f"|{p.alpha:.6g}| > |{p.beta:.6g}|", True)
-        else:
-            add("pair", value, p, "pair-subdominant",
-                f"|{p.alpha:.6g}| < |{p.beta:.6g}|", False)
-
-    # every boundary pair left once the failed cases are ruled out is semisimple
-    failed = {f.case for f in findings if not f.ok}
-    if failed & {"real-zero", "pair-zero"}:
-        verdict = Verdict.OUT_OF_SCOPE_SINGULAR
-    elif failed:
-        verdict = Verdict.IMPOSSIBLE
-    elif borderline:
-        verdict = Verdict.NON_STRICT_ONLY
-    else:
-        verdict = Verdict.STRICT_ACHIEVABLE
-    return DDClassification(verdict=verdict, evidence=tuple(findings),
-                            borderline_pairs=tuple(borderline), structure=structure)
+    cases, verdict = _cases(structure, tol, zero_tol)
+    evidence = []
+    for e, case in zip(structure.real_eigs + structure.complex_pairs, cases):
+        kind = case.partition("-")[0]
+        evidence.append(Finding(
+            kind, (e.value,) if kind == "real" else (e.alpha, e.beta), e.alg_mult, e.geo_mult,
+            case, _CASES[case][1].format(e=e, tol=tol, zero_tol=zero_tol), _CASES[case][0]))
+    borderline = tuple(f.value for f in evidence if "borderline" in f.case)
+    return DDClassification(verdict=verdict, evidence=tuple(evidence),
+                            borderline_pairs=borderline, structure=structure)
 
 
 def _zero_tol(tol: float, scale: float) -> float:

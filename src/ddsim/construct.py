@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import BORDERLINE_TOL, Verdict, _classify_structure, _zero_tol, is_borderline
+from .classify import BORDERLINE_TOL, Verdict, _cases, _zero_tol, is_borderline
 from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, RealJordanBlock, RealJordanForm, _assemble_jordan,
@@ -82,10 +82,11 @@ def _block_slack(block, target, borderline_tol):
     return slack
 
 
-def _scaled(blocks, slacks, margin, diagonal_cells=False):
-    """Weights ``d`` and ``diag(d) J diag(d)^{-1}`` for the canonical matrix
-    ``J`` of ``blocks``, given one slack per block: the chain ratio ``rho``
-    for :func:`_assemble_jordan`, which writes both in one pass.
+def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
+    """Weights ``d`` and ``diag(d) J diag(d)^{-1}`` for the ``n x n``
+    canonical matrix ``J`` of ``blocks``, given one slack per block: the
+    chain ratio ``rho`` for :func:`_assemble_jordan`, which writes both in
+    one pass.
 
     Coordinate k of a chain gets weight ``rho**k``; length-1 chains, whose
     slacks are never read, stay at weight 1.  Each unit coupling then shrinks
@@ -110,7 +111,7 @@ def _scaled(blocks, slacks, margin, diagonal_cells=False):
             f"chain weight rho**{top} overflows (rho = {rho:.3e}); the margin "
             "or the smallest chain slack is too small")
     pinned = {i for i, slack in enumerate(slacks) if slack is None}
-    return _assemble_jordan(blocks, diagonal_cells, rho, pinned)
+    return _assemble_jordan(blocks, n, diagonal_cells, rho, pinned)
 
 
 def _certified(spectrum, target, slack, miss_message, diagonal_cells=False):
@@ -120,7 +121,7 @@ def _certified(spectrum, target, slack, miss_message, diagonal_cells=False):
     ``certificate_tol`` and ``B`` meets ``target``; otherwise
     :class:`IllConditionedJordan`, with ``miss_message`` for a missed target."""
     blocks, p_j = spectrum.chain_inverse(diagonal_cells)
-    d, b = _scaled(blocks, list(map(slack, blocks)), MARGIN_FRACTION, diagonal_cells)
+    d, b = _scaled(blocks, len(p_j), list(map(slack, blocks)), MARGIN_FRACTION, diagonal_cells)
     # with diagonal cells P is complex also when every eigenvalue is real
     p = np.multiply(d[:, None], p_j, dtype=b.dtype)
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
@@ -147,7 +148,7 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
         raise ValueError("margin must lie in (0, 1)")
     _tolerance(borderline_tol, "borderline_tol")
     slacks = [_block_slack(b, target, borderline_tol) for b in jordan.blocks]
-    d, b_mat = _scaled(jordan.blocks, slacks, margin)
+    d, b_mat = _scaled(jordan.blocks, sum(b.dim for b in jordan.blocks), slacks, margin)
     return np.diag(d), b_mat
 
 
@@ -166,8 +167,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _Spectrum(a, cluster_tol, vectors=True)
-    verdict = _classify_structure(spectrum.structure(), tol,
-                                  _zero_tol(tol, spectrum.scale)).verdict
+    _, verdict = _cases(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
                                    Verdict.NON_STRICT_ONLY)}[target]

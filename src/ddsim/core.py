@@ -28,11 +28,11 @@ class Axis(enum.Enum):
 def as_matrix(values) -> np.ndarray:
     """Validate ``values`` as a dense square real matrix and return float64.
 
-    Rejects complex entries, non-square shapes, empty matrices and
+    Rejects complex or text entries, non-square shapes, empty matrices and
     non-finite values.
     """
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
+    if arr.dtype.kind == "c":
         raise ValueError("matrix entries must be real")
     return _square(arr)
 
@@ -40,13 +40,16 @@ def as_matrix(values) -> np.ndarray:
 def _square(values) -> np.ndarray:
     """Like :func:`as_matrix` but keeps complex dtype when present."""
     arr = np.asarray(values)
-    if not np.iscomplexobj(arr):
+    # text parses as numbers under astype(float); it is not a matrix of them
+    if arr.dtype.kind in "US":
+        raise ValueError("matrix entries must be real numbers")
+    if arr.dtype.kind != "c":
         arr = arr.astype(float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("matrix must have dimension at least 1")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -86,10 +89,12 @@ def default_dominance_tol(a) -> float:
     return 1e-12 * (1.0 + float(np.abs(a).max()))
 
 
-def _off_diagonal_sums(a: np.ndarray, axis: Axis) -> np.ndarray:
+def _off_diagonal_sums(a: np.ndarray, axis: Axis):
+    """``(|diag(a)|, off-diagonal sums of |a| along axis)`` from one ``|a|``."""
     off = np.abs(a)
+    diag = off.diagonal().copy()
     np.fill_diagonal(off, 0.0)
-    return off.sum(axis=1) if axis is Axis.ROW else off.sum(axis=0)
+    return diag, off.sum(axis=1 if axis is Axis.ROW else 0)
 
 
 @dataclass(frozen=True)
@@ -142,14 +147,14 @@ def is_diag_dominant(a, axis: Axis = Axis.ROW, strict: bool = False,
 def _dominance(a, axis, strict, tol) -> DominanceReport:
     """:func:`is_diag_dominant` of an ``a`` the program built itself, with a
     ``tol`` already validated."""
-    margins = np.abs(np.diag(a)) - _off_diagonal_sums(a, axis)
+    margins = np.subtract(*_off_diagonal_sums(a, axis))
     return DominanceReport(
         axis=axis,
         margins=margins,
         tol=tol,
         requested_strict=strict,
-        strict=bool(np.all(margins > tol)),
-        non_strict=bool(np.all(margins >= -tol)),
+        strict=bool((margins > tol).all()),
+        non_strict=bool((margins >= -tol).all()),
     )
 
 
@@ -168,7 +173,7 @@ def _comparison(a) -> np.ndarray:
 def gershgorin_discs(a, axis: Axis = Axis.ROW) -> list[GershgorinDisc]:
     """All discs of ``a`` along ``axis``; their union contains the spectrum."""
     a = as_matrix(a)
-    radii = _off_diagonal_sums(a, axis)
+    _, radii = _off_diagonal_sums(a, axis)
     diag = np.diag(a)
     return [
         GershgorinDisc(center=float(diag[i]), radius=float(radii[i]), index=i, axis=axis)

@@ -9,7 +9,6 @@ similarity residual.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,10 +250,16 @@ def _group(vals, tol, kind):
     groups nearly touch under the tolerance.
     """
     band = AMBIGUITY_FACTOR * tol
-    near = [(i, j, gap) for i in range(len(vals)) for j in range(i + 1, len(vals))
-            if (gap := abs(vals[i] - vals[j])) <= band]
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    # |z - w| >= the rounded gap of real parts, which only grows along the order
+    near = []
+    for k, i in enumerate(order):
+        for j in order[k + 1:]:
+            if vals[j].real - vals[i].real > band:
+                break
+            if (gap := abs(vals[i] - vals[j])) <= band:
+                near.append((i, j, gap))
     if not near:
-        order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
         return [[i] for i in order], [vals[i] for i in order]
 
     parent = list(range(len(vals)))
@@ -311,15 +316,18 @@ class _Spectrum:
         self.a = a
         self.scale = _scale(a)
         self.tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
+        self._clusters = None
         if vectors:
             self.values, self.vectors = np.linalg.eig(a)
         else:
             self.values, self.vectors = np.linalg.eigvals(a), None
 
-    @functools.cached_property
+    @property
     def clusters(self):
         """``(real_clusters, pair_clusters)``, pair clusters holding only the
         upper-half-plane members.  Raises :class:`ClusterAmbiguity`."""
+        if self._clusters is not None:
+            return self._clusters
         w, tol = self.values.tolist(), self.tol
         if any(tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol for z in w):
             near_real = np.abs(self.values.imag) <= tol
@@ -343,7 +351,8 @@ class _Spectrum:
                     vector = vector if pairs else vector.real
                 clusters.append(_Cluster(self.a, [values[i] for i in g], mean, pairs, vector))
             out.append(clusters)
-        return tuple(out)
+        self._clusters = tuple(out)
+        return self._clusters
 
     def structure(self) -> EigenStructure:
         """Both multiplicities of every cluster, real clusters first; only
@@ -368,8 +377,6 @@ class _Spectrum:
         ``diagonal_cells`` the complex columns ``(w, conj(w)) / sqrt(2)``,
         which turn each rotation cell into ``diag(alpha + beta j,
         alpha - beta j)``."""
-        cell = ((lambda w: (w / _SQRT2, w.conj() / _SQRT2)) if diagonal_cells
-                else (lambda w: (w.real, w.imag)))
         blocks = []
         columns = []
         for pairs, clusters in enumerate(self.clusters):
@@ -378,15 +385,17 @@ class _Spectrum:
                 for chain in cluster.chains():
                     if pairs:
                         blocks.append(ComplexJordanBlock(lam.real, lam.imag, len(chain)))
-                        columns.extend(part for w in chain for part in cell(w))
+                        for w in chain:
+                            columns += ((w / _SQRT2, w.conj() / _SQRT2) if diagonal_cells
+                                        else (w.real, w.imag))
                     else:
                         blocks.append(RealJordanBlock(lam.real, len(chain)))
-                        columns.extend(chain)
+                        columns += chain
 
-        if sum(b.dim for b in blocks) != self.a.shape[0]:
+        if len(columns) != self.a.shape[0]:
             raise IllConditionedJordan(
                 "block dimensions do not add up to the matrix dimension")
-        q = np.column_stack(columns)
+        q = np.array(columns).T
         ratio = _singular_ratio(q)
         if ratio:
             raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
@@ -405,35 +414,34 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     return _Spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
 
 
-def _assemble_jordan(blocks, diagonal_cells=False, rho=1.0, pinned=()):
-    """Weights ``d`` and ``B = diag(d) J diag(d)^{-1}`` for the canonical
-    matrix ``J`` of ``blocks``, written in one pass: coordinate k of a chain
-    has weight ``rho**k``, so the identity cell coupling chain cells k and
-    k + 1 is scaled by ``rho**k / rho**(k + 1)``, and ``rho = 1`` gives ``J``.
-    With ``diagonal_cells`` each rotation cell is ``diag(alpha + beta j,
-    alpha - beta j)`` and ``B`` is complex; otherwise a block whose index is
-    in ``pinned`` has ``|alpha|`` for ``beta`` in its rotation cell."""
-    n = sum(b.dim for b in blocks)
+def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0, pinned=()):
+    """Weights ``d`` and ``B = diag(d) J diag(d)^{-1}`` for the ``n x n``
+    canonical matrix ``J`` of ``blocks``, written entry by entry in one pass:
+    coordinate k of a chain has weight ``rho**k``, so the identity cell
+    coupling chain cells k and k + 1 is scaled by ``rho**k / rho**(k + 1)``,
+    and ``rho = 1`` gives ``J``.  With ``diagonal_cells`` each rotation cell
+    is ``diag(alpha + beta j, alpha - beta j)`` and ``B`` is complex; otherwise
+    a block in ``pinned`` has ``|alpha|`` for ``beta`` in its rotation cell."""
     out = np.zeros((n, n), dtype=complex if diagonal_cells else float)
     weights = []
-    pos = 0
     for i, b in enumerate(blocks):
         if isinstance(b, RealJordanBlock):
-            cell, length = [[b.eigenvalue]], b.size
+            cell, size, length = ((0, 0, b.eigenvalue),), 1, b.size
         elif diagonal_cells:
             lam = complex(b.alpha, b.beta)
-            cell, length = [[lam, 0.0], [0.0, lam.conjugate()]], b.chain_length
+            cell, size, length = ((0, 0, lam), (1, 1, lam.conjugate())), 2, b.chain_length
         else:
             beta = abs(b.alpha) if i in pinned else b.beta
-            cell, length = [[b.alpha, beta], [-beta, b.alpha]], b.chain_length
-        size = len(cell)
+            cell = ((0, 0, b.alpha), (0, 1, beta), (1, 0, -beta), (1, 1, b.alpha))
+            size, length = 2, b.chain_length
         for k in range(length):
-            r = pos + size * k
-            out[r:r + size, r:r + size] = cell
-            weights.extend((rho ** k,) * size)
+            r = len(weights)
+            for dr, dc, value in cell:
+                out[r + dr, r + dc] = value
+            weights += (rho ** k,) * size
             if k + 1 < length:
-                np.fill_diagonal(out[r:r + size, r + size:], rho ** k / rho ** (k + 1))
-        pos += b.dim
+                for t in range(size):
+                    out[r + t, r + size + t] = rho ** k / rho ** (k + 1)
     return np.array(weights), out
 
 
@@ -451,6 +459,6 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     """
     spectrum = _Spectrum(as_matrix(a), cluster_tol, vectors=True)
     blocks, p = spectrum.chain_inverse()
-    _, j = _assemble_jordan(blocks)
+    _, j = _assemble_jordan(blocks, len(p))
     return RealJordanForm(J=j, P=p, blocks=blocks, residual=_checked_residual(
         spectrum.a, p, j, spectrum.scale, "Jordan"))

@@ -31,7 +31,7 @@ def test_eigenvector_path_matches_filtration(n):
         blocks_eig, p_eig = from_eig.chain_inverse()
         blocks_filtration, p_filtration = from_filtration.chain_inverse()
         assert blocks_eig == blocks_filtration
-        _, j = _assemble_jordan(blocks_eig)
+        _, j = _assemble_jordan(blocks_eig, len(a))
         assert similarity_residual(a, p_eig, j) <= jordan_residual_tol(a)
         assert similarity_residual(a, p_filtration, j) <= jordan_residual_tol(a)
 

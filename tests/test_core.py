@@ -2,14 +2,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ddsim
 from ddsim import (Axis, as_matrix, comparison_matrix, gershgorin_discs,
                    is_diag_dominant, similarity_residual)
-from ddsim.core import _frobenius, _scale, _singular_ratio
+from ddsim.core import _dominance, _frobenius, _scale, _singular_ratio
 from ddsim.errors import SingularTransform
 
 matrices = arrays(np.float64, (3, 3),
@@ -112,6 +112,30 @@ def test_as_matrix_rejects(bad):
 def test_every_validator_gives_the_same_message(bad, message, check):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(bad)
+
+
+_TEXT = {"str": [["1", "0"], ["0", "1"]], "bytes": [[b"1", b"0"], [b"0", b"1"]]}
+_TEXT_CHECKS = {
+    "classify": ddsim.classify,
+    "classify_2x2": ddsim.classify_2x2,
+    "build_real": lambda m: ddsim.build_real_dd_transform(m, ddsim.Target.STRICT),
+    "build_complex": ddsim.build_complex_dd_transform,
+    **{f.__name__: f for f in (ddsim.is_z_matrix, ddsim.is_metzler, ddsim.is_hurwitz,
+                               ddsim.is_m_matrix, ddsim.is_h_matrix,
+                               ddsim.metzler_hurwitz_scaling, ddsim.h_matrix_scaling)},
+    "is_diag_dominant": is_diag_dominant,
+    "residual-a": lambda m: similarity_residual(m, np.eye(2), np.eye(2)),
+    "residual-p": lambda m: similarity_residual(np.eye(2), m, np.eye(2)),
+    "residual-b": lambda m: similarity_residual(np.eye(2), np.eye(2), m),
+}
+
+
+# astype(float) parses text, so without the dtype test these read as the identity
+@pytest.mark.parametrize("text", list(_TEXT))
+@pytest.mark.parametrize("check", list(_TEXT_CHECKS))
+def test_text_entries_are_not_real_numbers(text, check):
+    with pytest.raises(ValueError, match="^matrix entries must be real numbers$"):
+        _TEXT_CHECKS[check](_TEXT[text])
 
 
 _I2 = np.eye(2)
@@ -227,6 +251,45 @@ def test_strict_implies_non_strict(a):
     rep = is_diag_dominant(a, Axis.ROW, tol=0.0)
     if rep.strict:
         assert rep.non_strict
+
+
+def _reference_margins(a, axis):
+    """``|a_ii|`` minus the off-diagonal sums, in the two passes ``_dominance``
+    replaced."""
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    return np.abs(np.diag(a)) - off.sum(axis=1 if axis is Axis.ROW else 0)
+
+
+@st.composite
+def _dominance_cases(draw):
+    n = draw(st.integers(1, 5))
+    # small integers make exact margins, and so margins exactly at +-tol, common
+    entries = st.one_of(st.integers(-4, 4).map(float), st.floats(-100, 100))
+    a = draw(arrays(np.float64, (n, n), elements=entries))
+    if draw(st.booleans()):
+        a = a + 1j * draw(arrays(np.float64, (n, n), elements=entries))
+    axis = draw(st.sampled_from(Axis))
+    margins = _reference_margins(a, axis)
+    tol = draw(st.one_of(st.sampled_from(sorted(np.abs(margins).tolist())),
+                         st.just(0.0), st.floats(0.0, 10.0)))
+    return a, axis, draw(st.booleans()), tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dominance_cases())
+@example((np.array([[2.0, 1.0], [1.0, 2.0]]), Axis.ROW, True, 1.0))      # margins = tol
+@example((np.array([[1.0, 2.0], [2.0, 1.0]]), Axis.COLUMN, False, 1.0))  # margins = -tol
+@example((np.array([[3j, 1.0], [1.0, -2.0]]), Axis.ROW, True, 1.0))
+def test_dominance_matches_the_two_pass_reference(case):
+    a, axis, strict, tol = case
+    report = _dominance(a, axis, strict, tol)
+    reference = _reference_margins(a, axis)
+    assert report.margins.dtype == reference.dtype
+    assert report.margins.tobytes() == reference.tobytes()
+    assert report.strict == bool(np.all(reference > tol))
+    assert report.non_strict == bool(np.all(reference >= -tol))
+    assert report.satisfied == (report.strict if strict else report.non_strict)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,17 +1,21 @@
 """One spectral pass per public call, counted at the ``numpy.linalg`` boundary,
-one ``||A||_F`` per call, and one validation of ``A`` per certificate build
-and per structure test or scaling."""
+one ``||A||_F`` per call, one validation of ``A`` per certificate build
+and per structure test or scaling, and evidence built only by ``classify``."""
 
+import importlib
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from _gen import spectrum_matrix
-from ddsim import (Target, build_complex_dd_transform, build_real_dd_transform,
-                   classify, h_matrix_scaling, is_h_matrix, is_hurwitz, is_m_matrix,
-                   is_metzler, is_z_matrix, metzler_hurwitz_scaling)
+from ddsim import (ComplexPair, EigenStructure, RealEigenvalue, Target, Verdict,
+                   build_complex_dd_transform, build_real_dd_transform, classify,
+                   h_matrix_scaling, is_h_matrix, is_hurwitz, is_m_matrix, is_metzler,
+                   is_z_matrix, metzler_hurwitz_scaling)
 import ddsim.core
+from ddsim.classify import _cases, _classify_structure
 from ddsim.cli import main as cli_main
 
 #: SVDs that verify a real or complex certificate: the chain basis
@@ -134,3 +138,69 @@ def test_special_call_validates_once(square_calls, call):
     # every test passes, so each call runs its whole body
     assert call(_M_MATRIX if call in (is_z_matrix, is_m_matrix) else _METZLER_HURWITZ)
     assert square_calls["square"] == 1
+
+
+@pytest.fixture
+def finding_calls(monkeypatch):
+    """Number of evidence entries built through ``classify.Finding``."""
+    calls = Counter()
+    # the package's ``classify`` attribute is the function, not the module
+    module = importlib.import_module("ddsim.classify")
+    finding = module.Finding
+
+    def counting(*args, **kwargs):
+        calls["finding"] += 1
+        return finding(*args, **kwargs)
+
+    monkeypatch.setattr(module, "Finding", counting)
+    return calls
+
+
+def test_only_classify_builds_evidence(separated8, finding_calls):
+    # the builder reads only the verdict, so it formats no condition text
+    build_real_dd_transform(separated8, Target.STRICT)
+    assert finding_calls["finding"] == 0
+    structure = classify(separated8).structure
+    assert finding_calls["finding"] == (len(structure.real_eigs)
+                                        + len(structure.complex_pairs)) > 0
+
+
+_TOL, _ZERO_TOL = 1e-9, 1e-8
+#: One eigenvalue or pair in each case; the real zero sits on the band's edge.
+_CASE_EXAMPLES = {
+    "real-zero": RealEigenvalue(-_ZERO_TOL, 1, 1),
+    "real-nonzero": RealEigenvalue(-2.0, 2, 2),
+    "pair-zero": ComplexPair(0.3 * _ZERO_TOL, 0.4 * _ZERO_TOL, 1, 1),
+    "pair-borderline-semisimple": ComplexPair(-1.0, 1.0 + 1e-9, 2, 2),
+    "pair-borderline-defective": ComplexPair(1.0, 1.0 - 1e-9, 2, 1),
+    "pair-dominant": ComplexPair(-2.0, 1.0, 2, 1),
+    "pair-subdominant": ComplexPair(-1.0, 2.0, 1, 1),
+}
+
+
+def _reference_verdict(cases):
+    """The trichotomy of the ``ddsim.classify`` module docstring."""
+    if {"real-zero", "pair-zero"} & set(cases):
+        return Verdict.OUT_OF_SCOPE_SINGULAR
+    if {"pair-subdominant", "pair-borderline-defective"} & set(cases):
+        return Verdict.IMPOSSIBLE
+    if "pair-borderline-semisimple" in cases:
+        return Verdict.NON_STRICT_ONLY
+    return Verdict.STRICT_ACHIEVABLE
+
+
+@pytest.mark.parametrize("names", [
+    names for k in (1, 2) for names in combinations_with_replacement(_CASE_EXAMPLES, k)
+], ids="+".join)
+def test_case_table_and_evidence_give_one_verdict(names):
+    examples = [_CASE_EXAMPLES[name] for name in names]
+    structure = EigenStructure(
+        tuple(e for e in examples if isinstance(e, RealEigenvalue)),
+        tuple(e for e in examples if isinstance(e, ComplexPair)))
+    cases, verdict = _cases(structure, _TOL, _ZERO_TOL)
+    result = _classify_structure(structure, _TOL, _ZERO_TOL)
+    assert sorted(cases) == sorted(names)
+    assert [f.case for f in result.evidence] == cases
+    assert verdict is result.verdict is _reference_verdict(names)
+    assert result.borderline_pairs == tuple((e.alpha, e.beta) for name, e in zip(names, examples)
+                                            if "borderline" in name)

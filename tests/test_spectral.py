@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import spectrum_matrix, well_conditioned
@@ -282,17 +282,24 @@ _GAPS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 10.0)
 def _values_to_group(draw):
     tol = draw(st.sampled_from(_BANDS))
     pairs = draw(st.booleans())
-    z = complex(draw(st.floats(-10, 10)), draw(st.floats(50, 100)) if pairs else 0.0)
+    # quarter integers step by exact multiples of the 0.25 band
+    re = draw(st.one_of(st.floats(-10, 10), st.integers(-40, 40).map(lambda k: k / 4)))
+    z = complex(re, draw(st.floats(50, 100)) if pairs else 0.0)
     vals = [z]
     for _ in range(draw(st.integers(0, 7))):
         step = draw(st.sampled_from((1.0, 1j, -1.0, (1 + 1j) / 2 ** 0.5))) if pairs else 1.0
         vals.append(vals[-1] + draw(st.sampled_from(_GAPS)) * tol * step)
-    vals = draw(st.permutations(vals))
+    # real values are built in ascending order, the order clusters passes them
+    if pairs or draw(st.booleans()):
+        vals = draw(st.permutations(vals))
     return (vals if pairs else [v.real for v in vals]), tol, pairs
 
 
 @settings(max_examples=400, deadline=None)
 @given(_values_to_group())
+@example(([0.0, 0.25, 0.5, 1.0], 0.25, False))   # neighbour gaps 1x, 1x, 2x the band
+@example(([-1.0, -0.5, 0.0, 0.25], 0.25, False))
+@example(([1.0, 1.5, 1.5, 2.0], 0.25, False))
 def test_group_matches_the_reference_union_find(case):
     vals, tol, pairs = case
     kind = "complex" if pairs else "real"
@@ -337,7 +344,7 @@ def _reference_scaled(blocks, diagonal_cells, rho, pinned):
     """``(d, diag(d) J diag(d)^{-1})`` by the two-pass route: ``J`` at unit
     weights, a diagonal similarity by the chain weights ``rho**k``, then each
     pinned rotation cell rewritten at ``beta = |alpha|``."""
-    _, j = _assemble_jordan(blocks, diagonal_cells)
+    _, j = _assemble_jordan(blocks, sum(b.dim for b in blocks), diagonal_cells)
     weights = []
     for b in blocks:
         length, cell = ((b.size, 1) if isinstance(b, RealJordanBlock)
@@ -374,7 +381,7 @@ _BOUNDARY = (RealJordanBlock(-3.0, 2), ComplexJordanBlock(-1.0, 1.0 + 3e-10, 1))
 ], ids=["real", "pair", "pair-diagonal", "mixed", "mixed-diagonal", "boundary-pinned"])
 @pytest.mark.parametrize("rho", [1.0, 2.0, 2.0 / (0.5 * 0.13)])
 def test_one_pass_writer_matches_the_two_pass_route(blocks, diagonal_cells, pinned, rho):
-    d, out = _assemble_jordan(blocks, diagonal_cells, rho, pinned)
+    d, out = _assemble_jordan(blocks, sum(b.dim for b in blocks), diagonal_cells, rho, pinned)
     d_ref, out_ref = _reference_scaled(blocks, diagonal_cells, rho, pinned)
     assert d.dtype == d_ref.dtype and d.tobytes() == d_ref.tobytes()
     assert out.dtype == out_ref.dtype and out.tobytes() == out_ref.tobytes()
