@@ -40,11 +40,16 @@ def as_matrix(values) -> np.ndarray:
 def _square(values) -> np.ndarray:
     """Like :func:`as_matrix` but keeps complex dtype when present."""
     arr = np.asarray(values)
-    # text parses as numbers under astype(float); it is not a matrix of them
-    if arr.dtype.kind in "US":
+    # text, times and records convert under astype(float); they are not
+    # matrices of numbers
+    if arr.dtype.kind in "USmMV":
         raise ValueError("matrix entries must be real numbers")
     if arr.dtype.kind != "c":
-        arr = arr.astype(float)
+        try:
+            arr = arr.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            # an object entry that is complex, not a number or too large
+            raise ValueError("matrix entries must be real numbers") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:

@@ -136,14 +136,34 @@ def grid_search_2x2(alpha: float, beta: float,
                             best_margin=best, samples=samples)
 
 
+def _fold(ufunc, parts):
+    """``ufunc`` applied across ``parts[0], parts[1], ...`` in index order."""
+    acc = parts[0].copy()
+    for part in parts[1:]:
+        ufunc(acc, part, out=acc)
+    return acc
+
+
 def _batch_margins(b_stack):
     """Worst row / column margin per matrix in a stack, and the per-matrix
-    score max(worst_row, worst_col)."""
-    mag = np.abs(b_stack)
-    diag = np.diagonal(mag, axis1=1, axis2=2)
-    row = (diag - (mag.sum(axis=2) - diag)).min(axis=1)
-    col = (diag - (mag.sum(axis=1) - diag)).min(axis=1)
-    return np.maximum(row, col)
+    score max(worst_row, worst_col).  ``b_stack`` is overwritten with its
+    absolute values.
+
+    Each sum and minimum runs across the whole stack, one index of the short
+    axes at a time, instead of one numpy reduction per matrix row.  The sums
+    add in index order, as ``sum`` does over a column and over a row shorter
+    than 8, so every margin is the reduction's bit for bit; from 8 entries
+    ``sum`` adds a row pairwise, so longer rows keep it.
+    """
+    mag = np.abs(b_stack, out=b_stack)
+    n = mag.shape[1]
+    # (n, stack) views: diag[i], and by_row[i][j] = mag[:, i, j]
+    diag = mag.diagonal(axis1=1, axis2=2).T
+    by_row = mag.transpose(1, 2, 0)
+    rows = _fold(np.add, by_row.transpose(1, 0, 2)) if n < 8 else mag.sum(axis=2).T
+    cols = _fold(np.add, by_row)
+    return np.maximum(_fold(np.minimum, diag - (rows - diag)),
+                      _fold(np.minimum, diag - (cols - diag)))
 
 
 def _screened(batch):
@@ -165,7 +185,8 @@ def _screened(batch):
         conds = np.linalg.cond(batch)
         batch = batch[np.isfinite(conds) & (conds <= COND_LIMIT)]
         return batch, np.linalg.inv(batch)
-    bound = np.linalg.norm(batch, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    bound = np.sqrt(np.einsum("bij,bij->b", batch, batch)
+                    * np.einsum("bij,bij->b", inverse, inverse))
     doubtful = np.flatnonzero(~(bound <= 0.5 * COND_LIMIT))
     if not doubtful.size:
         return batch, inverse
@@ -202,7 +223,8 @@ def random_similarity_search(a, trials: int = 1000, seed: int = 0,
     best = -np.inf
     batch = inverse = np.eye(n)[None, :, :]
     while True:
-        transformed = batch @ a @ inverse
+        # P A as one (stack * n) x n product, the stacked product's bits
+        transformed = (batch.reshape(-1, n) @ a).reshape(batch.shape) @ inverse
         scores = _batch_margins(transformed)
         qualifying = np.flatnonzero(scores > 0.0 if strict else scores >= 0.0)
         for idx in qualifying:

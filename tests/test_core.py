@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,7 +115,18 @@ def test_every_validator_gives_the_same_message(bad, message, check):
         check(bad)
 
 
-_TEXT = {"str": [["1", "0"], ["0", "1"]], "bytes": [[b"1", b"0"], [b"0", b"1"]]}
+# each converts under astype(float), or fails to with a TypeError or an
+# OverflowError, so without the dtype test and the caught conversion these
+# read as a matrix or escape untyped
+_TEXT = {
+    "str": [["1", "0"], ["0", "1"]],
+    "bytes": [[b"1", b"0"], [b"0", b"1"]],
+    "timedelta": np.array([[1, 0], [0, 2]], dtype="m8[s]"),
+    "datetime": np.array([[1, 0], [0, 2]], dtype="M8[s]"),
+    "record": np.zeros((2, 2), dtype=[("x", "f8")]),
+    "complex-object": np.array([[1j, 0], [0, 1]], dtype=object),
+    "huge-int-object": np.array([[10 ** 400, 0], [0, 1]], dtype=object),
+}
 _TEXT_CHECKS = {
     "classify": ddsim.classify,
     "classify_2x2": ddsim.classify_2x2,
@@ -127,15 +139,28 @@ _TEXT_CHECKS = {
     "residual-a": lambda m: similarity_residual(m, np.eye(2), np.eye(2)),
     "residual-p": lambda m: similarity_residual(np.eye(2), m, np.eye(2)),
     "residual-b": lambda m: similarity_residual(np.eye(2), np.eye(2), m),
+    "random_similarity_search": lambda m: ddsim.random_similarity_search(m, trials=1),
 }
 
 
-# astype(float) parses text, so without the dtype test these read as the identity
 @pytest.mark.parametrize("text", list(_TEXT))
 @pytest.mark.parametrize("check", list(_TEXT_CHECKS))
 def test_text_entries_are_not_real_numbers(text, check):
     with pytest.raises(ValueError, match="^matrix entries must be real numbers$"):
         _TEXT_CHECKS[check](_TEXT[text])
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[True, False], [False, True]]),
+    np.array([[3, -1], [0, 2]], dtype=np.int8),
+    np.array([[3, 2 ** 63], [0, 2]], dtype=np.uint64),
+    np.array([[3.5, -1.0], [0.0, 2.0]], dtype=np.float32),
+    np.array([[Fraction(1, 3), -1], [0.5, 10 ** 300]], dtype=object),
+], ids=["bool", "int8", "uint64", "float32", "object"])
+def test_real_number_dtypes_are_accepted(values):
+    arr = as_matrix(values)
+    assert arr.dtype == np.float64
+    np.testing.assert_array_equal(arr, [[float(v) for v in row] for row in values])
 
 
 _I2 = np.eye(2)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -264,6 +265,121 @@ def test_search_matches_recorded_results_at_scale(monkeypatch, a, kwargs, limit,
     res = random_similarity_search(np.array(a), **kwargs)
     assert not res.found and res.witness is None
     assert (res.best_margin.hex(), res.samples) == (margin_hex, samples)
+
+
+# Recorded before the margins ran across the whole batch: an 8x8 witness
+# found after 212 random candidates and a spent 12x12 search over two
+# refills.  From 8 entries numpy sums a matrix row pairwise, which the
+# 6x6 goldens above cannot see; summed in index order, both best margins
+# move.  The witness is recorded as the SHA-256 of its float64 bytes.
+_WIDE_WITNESS = "3c0b3e9143ea2b44d57731533cd91ddc62f60836246b3d174d97831a900fecb5"
+WIDE_GOLDEN = [
+    (8, 4, False, _WIDE_WITNESS, "0x1.5080c124f7188p-3", 213),
+    (8, 4, True, _WIDE_WITNESS, "0x1.5080c124f7188p-3", 213),
+    (12, 3, False, None, "-0x1.21e39b94e06c0p-6", 4097),
+    (12, 3, True, None, "-0x1.21e39b94e06c0p-6", 4097),
+]
+
+
+@pytest.mark.parametrize("n, seed, strict, witness_sha, margin_hex, samples", WIDE_GOLDEN)
+def test_search_matches_recorded_results_at_n_8_and_12(n, seed, strict, witness_sha,
+                                                       margin_hex, samples):
+    # I + 1.1 e_1 e_2^T: the identity misses row dominance by 0.1
+    a = np.eye(n)
+    a[0, 1] = 1.1
+    res = random_similarity_search(a, trials=4097, seed=seed, strict=strict)
+    witness = (None if res.witness is None
+               else hashlib.sha256(res.witness.tobytes()).hexdigest())
+    assert (res.found, witness, res.best_margin.hex(), res.samples) == (
+        witness_sha is not None, witness_sha, margin_hex, samples)
+
+
+def _reference_batch_margins(b_stack):
+    """The per-row numpy reductions that ``_batch_margins`` replaced, kept as
+    the reference it must match bit for bit."""
+    mag = np.abs(b_stack)
+    diag = np.diagonal(mag, axis1=1, axis2=2)
+    row = (diag - (mag.sum(axis=2) - diag)).min(axis=1)
+    col = (diag - (mag.sum(axis=1) - diag)).min(axis=1)
+    return np.maximum(row, col)
+
+
+@st.composite
+def _stacks(draw):
+    n = draw(st.integers(1, 12))
+    size = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # small integers times one power of two: every sum is exact, so rows
+        # and columns tie, and a diagonal set to its row's off-diagonal sum
+        # gives a margin of exactly 0
+        stack = rng.integers(-3, 4, (size, n, n)).astype(float)
+        off = np.abs(stack).sum(axis=2) - np.abs(np.diagonal(stack, axis1=1, axis2=2))
+        tied = rng.random((size, n)) < 0.5
+        idx = np.nonzero(tied)
+        stack[idx[0], idx[1], idx[1]] = off[tied]
+        stack *= 2.0 ** draw(st.integers(-498, 498))
+    else:
+        lo, hi = sorted(draw(st.lists(st.floats(-150, 150), min_size=2, max_size=2)))
+        stack = rng.standard_normal((size, n, n)) * 10.0 ** rng.uniform(lo, hi, (size, n, n))
+    stack[rng.random(stack.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    # a random sign on every entry, so zeros are +0.0 and -0.0
+    return np.copysign(stack, rng.choice([-1.0, 1.0], stack.shape))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stacks())
+def test_batch_margins_match_the_reference_reductions(stack):
+    expected = _reference_batch_margins(stack)
+    scores = ddsim.oracle._batch_margins(stack)
+    assert scores.shape == expected.shape
+    # equal bit patterns: equal values with the same sign, zeros included
+    assert scores.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def _bound(p):
+    return np.linalg.norm(p) * np.linalg.norm(np.linalg.inv(p))
+
+
+def _scaled_column(rng, n, target):
+    """Orthogonal n x n matrices with the last column scaled by s, for s a
+    few ulps either side of the s at which ``target(p)`` crosses 0."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+    def at(s):
+        p = q.copy()
+        p[:, -1] *= s
+        return p
+
+    lo, hi = 1e-300, 1.0   # target(at(lo)) > 0 >= target(at(hi))
+    while np.nextafter(lo, hi) < hi:
+        mid = np.sqrt(lo * hi) if hi / lo > 4.0 else 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if target(at(mid)) > 0 else (lo, mid)
+    return [at(hi * (1.0 + k * np.finfo(float).eps)) for k in range(-8, 9)]
+
+
+@pytest.mark.parametrize("limit, n", [(5.0, 2), (30.0, 2), (30.0, 4), (1e12, 2), (1e12, 4)])
+def test_screen_keeps_what_the_condition_number_keeps(monkeypatch, limit, n):
+    monkeypatch.setattr(ddsim.oracle, "COND_LIMIT", limit)
+    rng = np.random.default_rng(int(limit) + n)
+    # bounds within a few ulps of COND_LIMIT / 2, where the screen passes a
+    # candidate directly or by its exact condition number, and condition
+    # numbers within a few ulps of COND_LIMIT, where only cond decides
+    half = _scaled_column(rng, n, lambda p: _bound(p) - 0.5 * limit)
+    bounds = [_bound(p) for p in half]
+    assert min(bounds) <= 0.5 * limit < max(bounds)
+    edge = _scaled_column(rng, n, lambda p: np.linalg.cond(p) - limit)
+    assert min(np.linalg.cond(edge)) <= limit < max(np.linalg.cond(edge))
+    batch = np.concatenate([rng.standard_normal((300, n, n)), half, edge])
+    conds = np.linalg.cond(batch)
+    expected = batch[np.isfinite(conds) & (conds <= limit)]
+    assert 0 < len(expected) < len(batch)
+
+    kept, inverse = ddsim.oracle._screened(batch)
+    assert kept.tobytes() == expected.tobytes()
+    assert inverse.tobytes() == np.linalg.inv(expected).tobytes()
 
 
 def _counting(monkeypatch, name):
