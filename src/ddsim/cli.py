@@ -29,7 +29,7 @@ from .core import Axis, gershgorin_discs
 from .errors import (ClusterAmbiguity, IllConditionedJordan, MatrixParseError,
                      NotAchievable, NumericallySingular, PreconditionViolated,
                      SingularInput, SingularTransform)
-from .io import complex_matrix_doc, dumps, load_matrix, matrix_rows
+from .io import dumps, load_matrix
 from .special import (HURWITZ_TOL, h_matrix_scaling, is_h_matrix, is_hurwitz,
                       is_m_matrix, is_metzler, is_z_matrix,
                       metzler_hurwitz_scaling)
@@ -147,7 +147,7 @@ def _dominance_doc(report) -> dict:
         "axis": report.axis.value,
         "strict": report.strict,
         "non_strict": report.non_strict,
-        "margins": [float(m) for m in report.margins],
+        "margins": report.margins,
     }
 
 
@@ -173,12 +173,10 @@ def _cmd_transform(a, args):
     if args.mode == "real":
         target = Target.STRICT if args.target == "strict" else Target.NON_STRICT
         cert = build_real_dd_transform(a, target, args.tol)
-        p_doc = matrix_rows(cert.P)
-        b_doc = matrix_rows(cert.B)
+        p_doc, b_doc = cert.P, cert.B
     else:
         cert = build_complex_dd_transform(a, args.tol)
-        p_doc = complex_matrix_doc(cert.P)
-        b_doc = complex_matrix_doc(cert.B)
+        p_doc, b_doc = ({"re": m.real, "im": m.imag} for m in (cert.P, cert.B))
     doc = {
         "target": cert.target.value,
         "mode": args.mode,
@@ -202,8 +200,8 @@ def _cmd_special(a, args):
     scaling = metzler_hurwitz_scaling if args.which == "m-scale" else h_matrix_scaling
     cert = scaling(a, args.tol)
     doc = {
-        "K": matrix_rows(cert.K),
-        "B": matrix_rows(cert.B),
+        "K": cert.K,
+        "B": cert.B,
         "dominance": _dominance_doc(cert.dominance),
         "diagonal_sign": cert.diagonal_sign.value,
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
     slacks are never read, stay at weight 1.  Each unit coupling then shrinks
     to at most ``margin`` times the smallest slack among the longer chains:
     ``rho = max(2, 2 / (margin * min(slacks)))``, unread when there are none.
-    A rotation cell whose slack is None is pinned at exact |alpha| = |beta|.
+    A block whose slack is None is pinned at |alpha| = |beta| (``beta = |alpha|``).
     Raises :class:`IllConditionedJordan` when a weight is not a finite float.
     """
     lengths = [b.size if isinstance(b, RealJordanBlock) else b.chain_length for b in blocks]
@@ -110,8 +110,9 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
         raise IllConditionedJordan(
             f"chain weight rho**{top} overflows (rho = {rho:.3e}); the margin "
             "or the smallest chain slack is too small")
-    pinned = {i for i, slack in enumerate(slacks) if slack is None}
-    return _assemble_jordan(blocks, n, diagonal_cells, rho, pinned)
+    blocks = [b if s is not None else replace(b, beta=abs(b.alpha))
+              for b, s in zip(blocks, slacks)]
+    return _assemble_jordan(blocks, n, diagonal_cells, rho)
 
 
 def _certified(spectrum, target, slack, miss_message, diagonal_cells=False):
@@ -189,13 +190,14 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     verdict is impossible: each rotation-like cell is diagonalised over the
     complex numbers, then chain couplings are shrunk geometrically to
     ``MARGIN_FRACTION`` of the eigenvalue modulus.  Raises
-    :class:`SingularInput` when an eigenvalue sits within ``tol`` of zero.
+    :class:`SingularInput` when, as in :func:`classify`, a cluster's
+    representative (its modulus for a pair) is within the zero band.
     """
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _Spectrum(a, cluster_tol, vectors=True)
     zero_tol = _zero_tol(tol, spectrum.scale)
-    if float(np.abs(spectrum.values).min()) <= zero_tol:
+    if min(abs(c.rep) for clusters in spectrum.clusters for c in clusters) <= zero_tol:
         raise SingularInput(
             f"an eigenvalue lies within {zero_tol:.3e} of zero")
 

@@ -40,9 +40,10 @@ def as_matrix(values) -> np.ndarray:
 def _square(values) -> np.ndarray:
     """Like :func:`as_matrix` but keeps complex dtype when present."""
     arr = np.asarray(values)
-    # text, times and records convert under astype(float); they are not
-    # matrices of numbers
-    if arr.dtype.kind in "USmMV":
+    # text (also held in objects), times and records convert under
+    # astype(float); they are not matrices of numbers
+    if arr.dtype.kind in "USmMV" or (
+            arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
         raise ValueError("matrix entries must be real numbers")
     if arr.dtype.kind != "c":
         try:

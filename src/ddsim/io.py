@@ -126,23 +126,16 @@ def _emit(obj, out: list):
             out.append(":")
             _emit(value, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(doc) -> str:
-    """Deterministic compact JSON with 17-significant-digit floats."""
+    """Deterministic compact JSON with 17-significant-digit floats; a numpy
+    array is written as its nested lists."""
     out: list = []
     _emit(doc, out)
     return "".join(out)
 
-
-def matrix_rows(a) -> list:
-    """Nested-list form of a real matrix for JSON emission."""
-    return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
-
-
-def complex_matrix_doc(a) -> dict:
-    """Complex matrix as a {"re": rows, "im": rows} pair."""
-    arr = np.asarray(a)
-    return {"re": matrix_rows(arr.real), "im": matrix_rows(arr.imag)}

@@ -122,8 +122,7 @@ class RealJordanForm:
 def _nullspace(m, extra_tol=0.0):
     """Orthonormal nullspace basis of ``m`` with a combined sv threshold."""
     u, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    thresh = max(RANK_RTOL * smax, extra_tol)
+    thresh = max(RANK_RTOL * s[0], extra_tol)
     nullity = int(np.sum(s <= thresh))
     if nullity == 0:
         return np.zeros((m.shape[0], 0), dtype=m.dtype)
@@ -176,7 +175,7 @@ class _Cluster:
         return self.bases[1].shape[1]
 
     def chains(self):
-        """Jordan chains of the cluster, longest first.
+        """Jordan chains of the cluster, longest first (the order they are built in).
 
         A simple cluster's one chain is its ``eig`` eigenvector.  Otherwise
         chains are built top-down from the filtration: the number of chains of
@@ -222,7 +221,7 @@ class _Cluster:
             cand = bases[k]
             if s_mat.shape[1]:
                 u, s, _ = np.linalg.svd(s_mat, full_matrices=False)
-                rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+                rank = int(np.sum(s > RANK_RTOL * s[0]))
                 u = u[:, :rank]
                 cand = cand - u @ (u.conj().T @ cand)
             uc, sc, _ = np.linalg.svd(cand, full_matrices=False)
@@ -237,7 +236,6 @@ class _Cluster:
                 vs.reverse()
                 norm_max = max(float(np.linalg.norm(v)) for v in vs)
                 chains.append([v / norm_max for v in vs])
-        chains.sort(key=len, reverse=True)
         return chains
 
 
@@ -262,20 +260,13 @@ def _group(vals, tol, kind):
     if not near:
         return [[i] for i in order], [vals[i] for i in order]
 
-    parent = list(range(len(vals)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    label = list(range(len(vals)))
     for i, j, gap in near:
         if gap <= tol:
-            parent[find(i)] = find(j)
+            label = [label[j] if k == label[i] else k for k in label]
     groups = {}
-    for i in range(len(vals)):
-        groups.setdefault(find(i), []).append(i)
+    for i, k in enumerate(label):
+        groups.setdefault(k, []).append(i)
     groups = list(groups.values())
 
     def members(g):
@@ -414,25 +405,23 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     return _Spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
 
 
-def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0, pinned=()):
+def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0):
     """Weights ``d`` and ``B = diag(d) J diag(d)^{-1}`` for the ``n x n``
     canonical matrix ``J`` of ``blocks``, written entry by entry in one pass:
     coordinate k of a chain has weight ``rho**k``, so the identity cell
     coupling chain cells k and k + 1 is scaled by ``rho**k / rho**(k + 1)``,
     and ``rho = 1`` gives ``J``.  With ``diagonal_cells`` each rotation cell
-    is ``diag(alpha + beta j, alpha - beta j)`` and ``B`` is complex; otherwise
-    a block in ``pinned`` has ``|alpha|`` for ``beta`` in its rotation cell."""
+    is ``diag(alpha + beta j, alpha - beta j)`` and ``B`` is complex."""
     out = np.zeros((n, n), dtype=complex if diagonal_cells else float)
     weights = []
-    for i, b in enumerate(blocks):
+    for b in blocks:
         if isinstance(b, RealJordanBlock):
             cell, size, length = ((0, 0, b.eigenvalue),), 1, b.size
         elif diagonal_cells:
             lam = complex(b.alpha, b.beta)
             cell, size, length = ((0, 0, lam), (1, 1, lam.conjugate())), 2, b.chain_length
         else:
-            beta = abs(b.alpha) if i in pinned else b.beta
-            cell = ((0, 0, b.alpha), (0, 1, beta), (1, 0, -beta), (1, 1, b.alpha))
+            cell = ((0, 0, b.alpha), (0, 1, b.beta), (1, 0, -b.beta), (1, 1, b.alpha))
             size, length = 2, b.chain_length
         for k in range(length):
             r = len(weights)

@@ -9,12 +9,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from _gen import chain_matrix, spectrum_matrix
-from ddsim import (CLUSTER_TOL, Target, Verdict, as_matrix, build_real_dd_transform,
-                   certificate_tol, classify, classify_2x2, eigen_structure,
-                   jordan_residual_tol, similarity_residual)
-from ddsim.errors import DdsimError, NotAchievable, PreconditionViolated
+from _gen import chain_matrix, spectrum_matrix, well_conditioned
+from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
+                   build_complex_dd_transform, build_real_dd_transform, certificate_tol,
+                   classify, classify_2x2, eigen_structure, jordan_residual_tol,
+                   similarity_residual)
+from ddsim.core import _scale
+from ddsim.errors import (ClusterAmbiguity, DdsimError, NotAchievable, PreconditionViolated,
+                          SingularInput)
 from ddsim.spectral import _assemble_jordan, _Spectrum
 
 
@@ -101,3 +106,47 @@ def test_closed_form_2x2_agrees_with_classify_at_large_scale(case, c):
     values = [e.value for e in closed.structure.real_eigs]
     values += [v for p in closed.structure.complex_pairs for v in (p.alpha, p.beta)]
     assert np.isfinite(values).all()
+
+
+@st.composite
+def _straddling_clusters(draw):
+    """``Q diag(cluster, others) Q^{-1}`` with cond(Q) <= 100, where the real
+    cluster straddles the zero band: it has members inside and outside the
+    band, or beyond both of its ends.  Members are drawn in units of the
+    band's approximate half-width ``BORDERLINE_TOL * _scale`` of the matrix
+    without the cluster; a cluster mean within 0.1 % of the band's edge is
+    skipped, as ``eig`` and ``eigvals`` may round it apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    others = draw(st.lists(st.sampled_from((-3.0, -1.0, 0.5, 2.0)), min_size=1,
+                           max_size=3, unique=True))
+    below, above = st.floats(-4.0, -1.01), st.floats(1.01, 4.0)
+    if draw(st.booleans()):  # members inside and outside the band
+        sides = (st.floats(-0.99, 0.99), st.one_of(below, above))
+    else:  # members beyond both ends of it
+        sides = (below, above)
+    units = [u for side in sides for u in draw(st.lists(side, min_size=1, max_size=2))]
+    assume(abs(abs(sum(units) / len(units)) - 1.0) > 1e-3)
+    n = len(units) + len(others)
+    q = well_conditioned(rng, n)
+    q_inv = np.linalg.inv(q)
+    width = BORDERLINE_TOL * _scale(q @ np.diag([0.0] * len(units) + others) @ q_inv)
+    return q @ np.diag([u * width for u in units] + others) @ q_inv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_straddling_clusters())
+def test_complex_build_is_singular_exactly_when_classify_says_so(a):
+    try:
+        verdict = classify(a).verdict
+    except ClusterAmbiguity:
+        with pytest.raises(ClusterAmbiguity):
+            build_complex_dd_transform(a)
+        return
+    try:
+        build_complex_dd_transform(a)
+        singular = False
+    except SingularInput:
+        singular = True
+    except DdsimError:
+        singular = False
+    assert singular is (verdict is Verdict.OUT_OF_SCOPE_SINGULAR)

@@ -7,6 +7,7 @@ import pytest
 import ddsim.cli
 from ddsim import similarity_residual
 from ddsim.cli import build_parser, main
+from ddsim.io import dumps
 
 
 def write_json(tmp_path, name, rows):
@@ -133,6 +134,16 @@ def test_transform_complex_singular_out_of_scope(tmp_path, capsys):
     code, _, err = run(capsys, ["transform", "--input", path, "--mode", "complex"])
     assert code == 4
     assert "SingularInput" in err
+
+
+@pytest.mark.parametrize("diagonal, code", [([-5e-10, 3e-8], 0), ([-4e-8, 4.1e-8], 4)],
+                         ids=["member-in-band", "mean-in-band"])
+def test_classify_and_complex_transform_agree_on_singularity(tmp_path, capsys, diagonal, code):
+    path = write_json(tmp_path, "a.json", np.diag(diagonal).tolist())
+    assert run(capsys, ["classify", "--input", path])[0] == code
+    transform_code, _, err = run(capsys, ["transform", "--input", path, "--mode", "complex"])
+    assert transform_code == code
+    assert ("SingularInput" in err) is (code == 4)
 
 
 def test_gershgorin_rotation_discs(tmp_path, capsys):
@@ -389,3 +400,45 @@ def test_classify_large_entries_exit_0(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "StrictAchievable"
     assert [e["value"] for e in doc["eigenstructure"]["real"]] == [-2e160, 1e160]
+
+
+def _matrix_rows(a) -> list:
+    """The float-list form the handlers once built for a real matrix, kept
+    as the reference the array emission must match byte for byte."""
+    return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
+
+
+def _complex_matrix_doc(a) -> dict:
+    """The reference ``{"re": rows, "im": rows}`` form of a complex matrix."""
+    arr = np.asarray(a)
+    return {"re": _matrix_rows(arr.real), "im": _matrix_rows(arr.imag)}
+
+
+def _complex(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _arrays():
+    rng = np.random.default_rng(15)
+    yield np.array([[-0.0]])
+    yield np.array([[0.1 + 0.2]])                      # 0.30000000000000004
+    yield np.array([[-0.0, 1 / 3], [2.0 ** -1074, -1e300]])
+    yield rng.standard_normal((12, 12))
+    yield _complex([[-0.0]], [[-0.0]])
+    yield _complex([[1 / 3, -0.0], [0.0, -1.0]], [[-0.0, 2 / 3], [1e-300, 0.1 + 0.2]])
+    yield _complex(rng.standard_normal((12, 12)), rng.standard_normal((12, 12)))
+
+
+@pytest.mark.parametrize("a", list(_arrays()),
+                         ids=["1x1-minus-zero", "1x1-17-digits", "2x2-extremes", "12x12",
+                              "1x1-complex-zeros", "2x2-complex", "12x12-complex"])
+def test_arrays_emit_as_the_float_lists_they_replaced(a):
+    if np.iscomplexobj(a):
+        doc, reference = {"re": a.real, "im": a.imag}, _complex_matrix_doc(a)
+    else:
+        doc, reference = a, _matrix_rows(a)
+    # a row stands for the dominance margins, a 1-D array
+    text = dumps({"M": doc, "margins": a.real[0]})
+    assert text == dumps({"M": reference, "margins": [float(m) for m in a.real[0]]})

@@ -164,6 +164,22 @@ def test_complex_rejects_singular_input():
         build_complex_dd_transform(np.diag([0.0, 1.0]))
 
 
+#: a real cluster straddling the zero band: its member -5e-10 is inside and
+#: its mean 1.475e-8 outside; then one whose members are outside, mean inside
+@pytest.mark.parametrize("diagonal, verdict", [
+    ([-5e-10, 3e-8], Verdict.STRICT_ACHIEVABLE),
+    ([-4e-8, 4.1e-8], Verdict.OUT_OF_SCOPE_SINGULAR),
+], ids=["member-in-band", "mean-in-band"])
+def test_complex_zero_test_reads_what_classify_reads(diagonal, verdict):
+    a = np.diag(diagonal)
+    assert classify(a).verdict is verdict
+    if verdict is Verdict.OUT_OF_SCOPE_SINGULAR:
+        with pytest.raises(SingularInput, match="within 1.000e-09 of zero"):
+            build_complex_dd_transform(a)
+    else:
+        _check_certificate(a, build_complex_dd_transform(a))
+
+
 def test_complex_defective_chain():
     a = np.array([[-1.0, 1.0, 1.0, 0.0],
                   [-1.0, -1.0, 0.0, 1.0],

@@ -116,8 +116,8 @@ def test_every_validator_gives_the_same_message(bad, message, check):
 
 
 # each converts under astype(float), or fails to with a TypeError or an
-# OverflowError, so without the dtype test and the caught conversion these
-# read as a matrix or escape untyped
+# OverflowError, so without the dtype and object-text tests and the caught
+# conversion these read as a matrix or escape untyped
 _TEXT = {
     "str": [["1", "0"], ["0", "1"]],
     "bytes": [[b"1", b"0"], [b"0", b"1"]],
@@ -126,6 +126,8 @@ _TEXT = {
     "record": np.zeros((2, 2), dtype=[("x", "f8")]),
     "complex-object": np.array([[1j, 0], [0, 1]], dtype=object),
     "huge-int-object": np.array([[10 ** 400, 0], [0, 1]], dtype=object),
+    "str-object": np.array([["1", "0"], ["0", "2"]], dtype=object),
+    "bytes-object": np.array([[b"1", b"0"], [b"0", b"2"]], dtype=object),
 }
 _TEXT_CHECKS = {
     "classify": ddsim.classify,

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import spectrum_matrix, well_conditioned
-from ddsim import (ComplexJordanBlock, RealJordanBlock, eigen_structure,
+from ddsim import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock, eigen_structure,
                    jordan_residual_tol, real_jordan_form, similarity_residual)
 from ddsim.core import _diag_similarity, _scale
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
@@ -131,6 +133,29 @@ def test_jordan_block_ordering_deterministic():
         assert [b.eigenvalue for b in reals] == sorted(b.eigenvalue for b in reals)
         assert [(b.alpha, b.beta) for b in pairs] == \
             sorted((b.alpha, b.beta) for b in pairs)
+
+
+#: one cluster each, its chains given shortest first: (blocks, chain lengths)
+_MIXED_CHAINS = {
+    "J1+J3": ((RealJordanBlock(-2.0, 1), RealJordanBlock(-2.0, 3)), [3, 1]),
+    "J1+J2+J2": ((RealJordanBlock(-2.0, 1), RealJordanBlock(-2.0, 2),
+                  RealJordanBlock(-2.0, 2)), [2, 2, 1]),
+    "pair-1+2": ((ComplexJordanBlock(-3.0, 1.0, 1), ComplexJordanBlock(-3.0, 1.0, 2)), [2, 1]),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["upper", "reversed"])
+@pytest.mark.parametrize("case", list(_MIXED_CHAINS))
+def test_chains_come_longest_first_as_built(case, reverse):
+    # nothing re-sorts the chains: the top-down build must give this order
+    blocks, lengths = _MIXED_CHAINS[case]
+    _, a = _assemble_jordan(blocks, sum(b.dim for b in blocks))
+    if reverse:  # the similarity by the reversal permutation
+        a = a[::-1, ::-1].copy()
+    (cluster,) = [c for kind in _Spectrum(a, CLUSTER_TOL, vectors=True).clusters for c in kind]
+    assert [len(chain) for chain in cluster.chains()] == lengths
+    assert [b.size if isinstance(b, RealJordanBlock) else b.chain_length
+            for b in real_jordan_form(a).blocks] == lengths
 
 
 def test_jordan_random_recovery_and_invariants():
@@ -381,7 +406,9 @@ _BOUNDARY = (RealJordanBlock(-3.0, 2), ComplexJordanBlock(-1.0, 1.0 + 3e-10, 1))
 ], ids=["real", "pair", "pair-diagonal", "mixed", "mixed-diagonal", "boundary-pinned"])
 @pytest.mark.parametrize("rho", [1.0, 2.0, 2.0 / (0.5 * 0.13)])
 def test_one_pass_writer_matches_the_two_pass_route(blocks, diagonal_cells, pinned, rho):
-    d, out = _assemble_jordan(blocks, sum(b.dim for b in blocks), diagonal_cells, rho, pinned)
+    # the writer takes each pinned block as the builders hand it on
+    handed = [replace(b, beta=abs(b.alpha)) if i in pinned else b for i, b in enumerate(blocks)]
+    d, out = _assemble_jordan(handed, sum(b.dim for b in blocks), diagonal_cells, rho)
     d_ref, out_ref = _reference_scaled(blocks, diagonal_cells, rho, pinned)
     assert d.dtype == d_ref.dtype and d.tobytes() == d_ref.tobytes()
     assert out.dtype == out_ref.dtype and out.tobytes() == out_ref.tobytes()
