@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import _scale, _tolerance, as_matrix
 from .errors import DimensionMismatch
-from .spectral import CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, _Spectrum
+from .spectral import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue,
+                       _forget_on_failure, _spectrum)
 
 #: Relative half-width of the |alpha| = |beta| boundary band.
 BORDERLINE_TOL = 1e-9
@@ -135,6 +136,7 @@ def _zero_tol(tol: float, scale: float) -> float:
     return tol * scale
 
 
+@_forget_on_failure
 def classify(a, tol: float = BORDERLINE_TOL,
              cluster_tol: float = CLUSTER_TOL) -> DDClassification:
     """Full decision over the eigenstructure of ``a``.
@@ -145,7 +147,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    spectrum = _Spectrum(a, cluster_tol, vectors=False)
+    spectrum = _spectrum(a, cluster_tol, vectors=False)
     return _classify_structure(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
 
 

@@ -24,7 +24,8 @@ from .classify import BORDERLINE_TOL, Verdict, _cases, _zero_tol, is_borderline
 from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, RealJordanBlock, RealJordanForm, _assemble_jordan,
-                       _checked_residual, _Spectrum, jordan_residual_tol)
+                       _checked_residual, _forget_on_failure, _spectrum,
+                       jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
 MARGIN_FRACTION = 0.5
@@ -153,6 +154,7 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     return np.diag(d), b_mat
 
 
+@_forget_on_failure
 def build_real_dd_transform(a, target: Target = Target.STRICT,
                             tol: float = BORDERLINE_TOL,
                             cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
@@ -167,7 +169,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    spectrum = _Spectrum(a, cluster_tol, vectors=True)
+    spectrum = _spectrum(a, cluster_tol, vectors=True)
     _, verdict = _cases(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
@@ -182,6 +184,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
                       "is too close to a classification boundary")
 
 
+@_forget_on_failure
 def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
                                cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
     """Complex ``P`` with ``B = P A P^{-1}`` strictly dominant in magnitude.
@@ -195,7 +198,7 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    spectrum = _Spectrum(a, cluster_tol, vectors=True)
+    spectrum = _spectrum(a, cluster_tol, vectors=True)
     zero_tol = _zero_tol(tol, spectrum.scale)
     if min(abs(c.rep) for clusters in spectrum.clusters for c in clusters) <= zero_tol:
         raise SingularInput(

@@ -5,16 +5,23 @@ scoped to small dimensions (target n <= 12), uses conservative singular-value
 thresholds, and fails honestly with :class:`IllConditionedJordan` instead of
 returning a form it cannot certify.  Every returned form carries a verified
 similarity residual.
+
+Each thread keeps the spectrum of the matrix of its last spectral call
+(:func:`_spectrum`), so ``classify`` followed by the builders on one matrix
+pays for one spectral pass; every call still validates its input and
+verifies its own output.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _residual, _scale, _singular_ratio, _tolerance, as_matrix
-from .errors import ClusterAmbiguity, IllConditionedJordan
+from .errors import ClusterAmbiguity, DdsimError, IllConditionedJordan
 
 #: Default relative eigenvalue clustering tolerance.
 CLUSTER_TOL = 1e-7
@@ -133,12 +140,15 @@ class _Cluster:
     """One eigenvalue cluster and the nullspace filtration of ``m = a - rep I``.
 
     The filtration (over the complex field for conjugate pairs) is taken one
-    power at a time, only as far as a caller needs it.  A simple cluster needs
-    none of it: its geometric multiplicity is 1, and ``vector`` holds the
-    unit eigenvector ``eig`` returned for it, when one was asked for.
+    power at a time, only as far as a caller needs it, and kept with the
+    chains built from it.  A simple cluster needs none of it: its geometric
+    multiplicity is 1, and ``vector`` holds the unit eigenvector ``eig``
+    returned for it (column ``column`` of the vectors), once one was asked
+    for.  Lazy state changes only when a step succeeds, so a step that
+    raises leaves the cluster as it was.
     """
 
-    def __init__(self, a, members, mean, complex_field, vector=None):
+    def __init__(self, a, members, mean, complex_field, column=None):
         self.rep = complex(mean)
         # a simple cluster's member is its mean
         self.radius = (float(np.abs(np.array(members) - self.rep).max())
@@ -147,23 +157,29 @@ class _Cluster:
         self.lam = self.rep if complex_field else self.rep.real
         self.a = a
         self.dtype = complex if complex_field else float
-        self.vector = vector
+        self.column = column
+        self.vector = None
         self.bases = []
+        self._chains = None
 
     def _grow(self):
         """Append a nullspace basis of the next power of ``m``."""
-        if not self.bases:
-            eye = np.eye(self.a.shape[0], dtype=self.dtype)
-            self.m = self.a.astype(self.dtype) - self.lam * eye
-            self.power = eye
-            self.bases.append(np.zeros((self.a.shape[0], 0), dtype=self.dtype))
-        k = len(self.bases)
+        n = self.a.shape[0]
+        if self.bases:
+            m, power, sig, first = self.m, self.power, self.sig, []
+        else:
+            power = np.eye(n, dtype=self.dtype)
+            m, sig = self.a.astype(self.dtype) - self.lam * power, None
+            first = [np.zeros((n, 0), dtype=self.dtype)]
+        k = len(self.bases) or 1
         if k == 2:
-            self.sig = float(np.linalg.norm(self.m, 2))
-        self.power = self.power @ self.m
+            sig = float(np.linalg.norm(m, 2))
+        power = power @ m
         # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
-        growth = max(1.0, self.sig) ** (k - 1) if k > 1 else 1.0
-        self.bases.append(_nullspace(self.power, 2.0 * k * self.radius * growth))
+        growth = max(1.0, sig) ** (k - 1) if k > 1 else 1.0
+        basis = _nullspace(power, 2.0 * k * self.radius * growth)
+        self.m, self.power, self.sig = m, power, sig
+        self.bases += first + [basis]
 
     @property
     def geo_mult(self) -> int:
@@ -186,6 +202,8 @@ class _Cluster:
         """
         if self.vector is not None:
             return [[self.vector]]
+        if self._chains is not None:
+            return self._chains
         alg, lam, bases = self.alg_mult, self.lam, self.bases
         for k in range(1, alg + 1):
             if len(bases) <= k:
@@ -236,6 +254,7 @@ class _Cluster:
                 vs.reverse()
                 norm_max = max(float(np.linalg.norm(v)) for v in vs)
                 chains.append([v / norm_max for v in vs])
+        self._chains = chains
         return chains
 
 
@@ -296,22 +315,52 @@ def _group(vals, tol, kind):
 class _Spectrum:
     """One eigen-solve of ``a`` and the clusters of its spectrum.
 
-    Every spectral fact of one public call is derived from this single pass:
-    ``eigvals`` when only the eigen-structure is needed, ``eig`` when a
-    Jordan basis may be built (simple clusters take their vector from it).
-    ``scale`` is ``_scale(a)``, computed once for every band and residual
-    limit of the call; ``a`` must come from :func:`as_matrix`.
+    Every spectral fact of ``a`` is derived from this single pass, and kept:
+    :func:`_spectrum` hands the same object to each call on the same matrix,
+    so ``scale``, the values, the clusters with their filtrations and chains,
+    and ``structure()`` are computed once per matrix, not once per call.
+    ``eigvals`` is called when only the eigen-structure is needed, ``eig``
+    when a Jordan basis may be built (simple clusters take their vector from
+    it); :meth:`solve` adds the other routine's solve to a kept spectrum.
+    ``scale`` is ``_scale(a)``, shared by every band and residual limit;
+    ``a`` must come from :func:`as_matrix`.  Lazy state is assigned only once
+    it is complete, so a step that raises leaves none of it behind.
     """
 
     def __init__(self, a, cluster_tol, vectors):
         self.a = a
         self.scale = _scale(a)
         self.tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
-        self._clusters = None
+        self.values = None
+        self.solve(vectors)
+
+    def solve(self, vectors):
+        """Solve with ``eig`` when ``vectors`` is true, else ``eigvals``.
+
+        ``solvers`` names the numpy routines whose values are the held
+        ones.  When the new values are bitwise those already held, every
+        derived fact stands and each simple cluster takes its vector;
+        otherwise the new values replace them and every derived fact is
+        dropped, so the spectrum is the one a fresh solve gives."""
         if vectors:
-            self.values, self.vectors = np.linalg.eig(a)
+            solver, (values, vector_columns) = "eig", np.linalg.eig(self.a)
         else:
-            self.values, self.vectors = np.linalg.eigvals(a), None
+            solver, values, vector_columns = "eigvals", np.linalg.eigvals(self.a), None
+        if (self.values is not None and values.dtype == self.values.dtype
+                and values.tobytes() == self.values.tobytes()):
+            self.solvers.add(solver)
+        else:
+            self.values, self.vectors, self.solvers = values, None, {solver}
+            self._clusters = self._structure = None
+        if vector_columns is not None:
+            self.vectors = vector_columns
+            if self._clusters is not None:
+                self._give_vectors(self._clusters)
+
+    def _give_vectors(self, clusters):
+        for cluster in (c for group in clusters for c in group if c.column is not None):
+            vector = self.vectors[:, cluster.column]
+            cluster.vector = vector if cluster.dtype is complex else vector.real
 
     @property
     def clusters(self):
@@ -334,20 +383,19 @@ class _Spectrum:
         out = []
         for idx, pairs in ((real_idx, False), (upper_idx, True)):
             values = [w[i] if pairs else w[i].real for i in idx]
-            clusters = []
-            for g, mean in zip(*_group(values, tol, "complex" if pairs else "real")):
-                vector = None
-                if self.vectors is not None and len(g) == 1:
-                    vector = self.vectors[:, idx[g[0]]]
-                    vector = vector if pairs else vector.real
-                clusters.append(_Cluster(self.a, [values[i] for i in g], mean, pairs, vector))
-            out.append(clusters)
+            out.append([_Cluster(self.a, [values[i] for i in g], mean, pairs,
+                                 idx[g[0]] if len(g) == 1 else None)
+                        for g, mean in zip(*_group(values, tol, "complex" if pairs else "real"))])
+        if self.vectors is not None:
+            self._give_vectors(out)
         self._clusters = tuple(out)
         return self._clusters
 
     def structure(self) -> EigenStructure:
         """Both multiplicities of every cluster, real clusters first; only
         repeated eigenvalues cost an SVD."""
+        if self._structure is not None:
+            return self._structure
         found = ([], [])
         for pairs, clusters in enumerate(self.clusters):
             for c in clusters:
@@ -359,7 +407,8 @@ class _Spectrum:
                                                f"geometric {geo}, algebraic {alg}")
                 found[pairs].append(ComplexPair(lam.real, lam.imag, alg, geo) if pairs
                                     else RealEigenvalue(lam.real, alg, geo))
-        return EigenStructure(*map(tuple, found))
+        self._structure = EigenStructure(*map(tuple, found))
+        return self._structure
 
     def chain_inverse(self, diagonal_cells=False):
         """``(blocks, inv(Q))`` for the basis ``Q`` of the clusters' Jordan
@@ -393,6 +442,53 @@ class _Spectrum:
         return tuple(blocks), np.linalg.inv(q)
 
 
+_slot = threading.local()
+
+
+def _spectrum(a, cluster_tol, vectors):
+    """The :class:`_Spectrum` of a validated ``a`` at ``cluster_tol``, solved
+    by ``eig`` when ``vectors`` is true and by ``eigvals`` otherwise.
+
+    Each thread keeps one: the spectrum of its last call, keyed by the shape,
+    memory layout and bytes of ``a`` and by ``cluster_tol``.  A call on the
+    same key reuses it, solving once more only when the held values do not
+    yet come from the routine asked for; any other call replaces it.  Every
+    result is the one a fresh spectrum gives, whatever came before.
+    """
+    key = (a.shape, a.strides, a.tobytes(), cluster_tol)
+    last = getattr(_slot, "last", None)
+    if last is None or last[0] != key:
+        spectrum = _Spectrum(a, cluster_tol, vectors)
+        _slot.last = key, spectrum
+        return spectrum
+    spectrum = last[1]
+    if ("eig" if vectors else "eigvals") not in spectrum.solvers:
+        spectrum.solve(vectors)
+    return spectrum
+
+
+def _forget():
+    """Empty this thread's spectrum slot."""
+    _slot.last = None
+
+
+def _forget_on_failure(call):
+    """``call`` with this thread's spectrum dropped when anything other than
+    a :class:`DdsimError` escapes it, so that no half-built state outlives a
+    failure the program did not anticipate."""
+    @functools.wraps(call)
+    def guarded(*args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except DdsimError:
+            raise
+        except BaseException:
+            _forget()
+            raise
+    return guarded
+
+
+@_forget_on_failure
 def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     """Eigenvalues of ``a`` grouped into clusters with both multiplicities.
 
@@ -402,7 +498,7 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     :class:`ClusterAmbiguity` when the grouping is not numerically decidable
     at this tolerance.
     """
-    return _Spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
+    return _spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
 
 
 def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0):
@@ -434,6 +530,7 @@ def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0):
     return np.array(weights), out
 
 
+@_forget_on_failure
 def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     """Real Jordan normal form ``J = P A P^{-1}`` with real ``P``.
 
@@ -446,7 +543,7 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     final residual check fails; callers may retry with another
     ``cluster_tol``.
     """
-    spectrum = _Spectrum(as_matrix(a), cluster_tol, vectors=True)
+    spectrum = _spectrum(as_matrix(a), cluster_tol, vectors=True)
     blocks, p = spectrum.chain_inverse()
     _, j = _assemble_jordan(blocks, len(p))
     return RealJordanForm(J=j, P=p, blocks=blocks, residual=_checked_residual(

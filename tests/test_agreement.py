@@ -2,9 +2,13 @@
 
 Simple clusters take their eigenvector from ``eig``; the nullspace filtration
 must give the same blocks.  ``classify`` and the real construction decide
-from separate passes; their verdicts must agree.
+from separate passes (the spectrum slot is emptied between them); their
+verdicts must agree, and a build that shares ``classify``'s pass ends
+exactly as the separate one does.
 """
 
+import contextlib
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,7 +24,40 @@ from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
 from ddsim.core import _scale
 from ddsim.errors import (ClusterAmbiguity, DdsimError, NotAchievable, PreconditionViolated,
                           SingularInput)
-from ddsim.spectral import _assemble_jordan, _Spectrum
+from ddsim.spectral import _assemble_jordan, _forget, _Spectrum
+
+
+def _bits(x):
+    """``x`` as comparable bits: arrays by dtype, shape and bytes, floats
+    by ``hex``, dataclasses and tuples member by member, the rest by repr."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    return repr(x)
+
+
+def _end(call, *args, **kwargs):
+    """How ``call(*args, **kwargs)`` ends: the bits of its result, or the
+    type and message of what it raised."""
+    try:
+        return _bits(call(*args, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_warm_ends_as_cold(a, build):
+    """``build(a)`` right after ``classify(a)``, sharing its spectrum, ends
+    as it does from an empty slot."""
+    with contextlib.suppress(DdsimError):
+        classify(a)
+    warm = _end(build, a)
+    _forget()
+    assert warm == _end(build, a)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12])
@@ -53,18 +90,26 @@ def _agreement_families():
                 yield chain_matrix(rng, kind, length)
 
 
+def _strict_build(a):
+    return build_real_dd_transform(a, Target.STRICT)
+
+
 def test_real_build_never_contradicts_classify():
     verdicts = Counter()
     for a in _agreement_families():
+        _assert_warm_ends_as_cold(a, _strict_build)
+        _forget()
         try:
             verdict = classify(a).verdict
         except DdsimError as exc:
+            _forget()
             with pytest.raises(type(exc)):
-                build_real_dd_transform(a, Target.STRICT)
+                _strict_build(a)
             continue
         verdicts[verdict] += 1
+        _forget()
         try:
-            build_real_dd_transform(a, Target.STRICT)
+            _strict_build(a)
         except NotAchievable as exc:
             assert verdict is not Verdict.STRICT_ACHIEVABLE
             assert exc.classification is verdict
@@ -136,12 +181,16 @@ def _straddling_clusters(draw):
 @settings(max_examples=200, deadline=None)
 @given(_straddling_clusters())
 def test_complex_build_is_singular_exactly_when_classify_says_so(a):
+    _assert_warm_ends_as_cold(a, build_complex_dd_transform)
+    _forget()
     try:
         verdict = classify(a).verdict
     except ClusterAmbiguity:
+        _forget()
         with pytest.raises(ClusterAmbiguity):
             build_complex_dd_transform(a)
         return
+    _forget()
     try:
         build_complex_dd_transform(a)
         singular = False

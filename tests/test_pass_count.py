@@ -1,7 +1,15 @@
-"""One spectral pass per public call, counted at the ``numpy.linalg`` boundary,
-one ``||A||_F`` per call, one validation of ``A`` per certificate build
-and per structure test or scaling, and evidence built only by ``classify``."""
+"""Work counted at the ``numpy.linalg`` boundary and at the program's own
+helpers.
 
+From an empty spectrum slot (an autouse fixture empties it before each
+test), each public call makes one spectral pass and takes one ``||A||_F``.
+On one matrix, ``classify`` followed by both builders shares one pass: one
+``eigvals``, one ``eig``, one scale, and each filtration SVD once, while each
+build still verifies its own certificate.  Each certificate build and each
+structure test or scaling validates ``A`` once, and only ``classify`` builds
+evidence."""
+
+import contextlib
 import importlib
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -9,18 +17,27 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from _gen import spectrum_matrix
-from ddsim import (ComplexPair, EigenStructure, RealEigenvalue, Target, Verdict,
+from _gen import chain_matrix, spectrum_matrix
+from ddsim import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, Target, Verdict,
                    build_complex_dd_transform, build_real_dd_transform, classify,
                    h_matrix_scaling, is_h_matrix, is_hurwitz, is_m_matrix, is_metzler,
                    is_z_matrix, metzler_hurwitz_scaling)
 import ddsim.core
+import ddsim.spectral
 from ddsim.classify import _cases, _classify_structure
 from ddsim.cli import main as cli_main
+from ddsim.errors import IllConditionedJordan
 
 #: SVDs that verify a real or complex certificate: the chain basis
 #: singular-value ratio and the singularity test of the certificate residual.
 VERIFICATION_SVDS = 2
+
+
+@pytest.fixture(autouse=True)
+def empty_slot():
+    """Every count below starts from an empty spectrum slot: the fixture
+    matrices of one test would otherwise be warm from the test before."""
+    ddsim.spectral._forget()
 
 
 @pytest.fixture
@@ -113,6 +130,52 @@ def test_cli_classify_is_one_eigen_solve(tmp_path, capsys, separated8, linalg_ca
 def test_one_scale_per_public_call(separated8, frobenius_calls, call, norms):
     call(separated8)
     assert frobenius_calls["frobenius"] == norms
+
+
+def _classify_then_build(a, cluster_tol=CLUSTER_TOL, forget_between=False):
+    """The usual sequence on one matrix: the verdict, then both certificates,
+    of which a defective input's may be refused; with ``forget_between``
+    each call makes its own pass."""
+    assert classify(a, cluster_tol=cluster_tol).verdict is Verdict.STRICT_ACHIEVABLE
+    for build in (lambda: build_real_dd_transform(a, Target.STRICT, cluster_tol=cluster_tol),
+                  lambda: build_complex_dd_transform(a, cluster_tol=cluster_tol)):
+        if forget_between:
+            ddsim.spectral._forget()
+        with contextlib.suppress(IllConditionedJordan):
+            build()
+
+
+def test_classify_then_both_builds_share_one_pass(separated8, linalg_calls, frobenius_calls):
+    _classify_then_build(separated8)
+    assert linalg_calls["eigvals"] == 1
+    assert linalg_calls["eig"] == 1
+    # one scale, and the numerator of each certificate residual
+    assert frobenius_calls["frobenius"] == 1 + 2
+    assert linalg_calls["svd"] == 2 * VERIFICATION_SVDS
+
+
+@pytest.mark.parametrize("kind, length", [
+    (kind, length) for kind in ("real", "pair") for length in (2, 3, 4)])
+def test_each_filtration_svd_runs_once_across_the_calls(monkeypatch, kind, length):
+    a = chain_matrix(np.random.default_rng(length), kind, length)
+    powers = Counter()
+    nullspace = ddsim.spectral._nullspace
+
+    def counting(m, extra_tol=0.0):
+        powers[m.tobytes()] += 1
+        return nullspace(m, extra_tol)
+
+    monkeypatch.setattr(ddsim.spectral, "_nullspace", counting)
+    # rounding splits a chain of length k by about eps**(1 / k), beyond the
+    # default tolerance from k = 3 on
+    _classify_then_build(a, 1e-4, forget_between=True)
+    separate = Counter(powers)
+    assert max(separate.values()) > 1
+    powers.clear()
+    ddsim.spectral._forget()
+    _classify_then_build(a, 1e-4)
+    assert powers.keys() == separate.keys()
+    assert set(powers.values()) == {1}
 
 
 @pytest.mark.parametrize("build", [
