@@ -147,7 +147,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    spectrum = _spectrum(a, cluster_tol, vectors=False)
+    spectrum = _spectrum(a, cluster_tol)
     return _classify_structure(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
 
 

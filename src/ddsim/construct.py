@@ -169,7 +169,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    spectrum = _spectrum(a, cluster_tol, vectors=True)
+    spectrum = _spectrum(a, cluster_tol)
     _, verdict = _cases(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
@@ -198,7 +198,7 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     """
     a = as_matrix(a)
     _tolerance(tol)
-    spectrum = _spectrum(a, cluster_tol, vectors=True)
+    spectrum = _spectrum(a, cluster_tol)
     zero_tol = _zero_tol(tol, spectrum.scale)
     if min(abs(c.rep) for clusters in spectrum.clusters for c in clusters) <= zero_tol:
         raise SingularInput(

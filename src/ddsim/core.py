@@ -47,7 +47,7 @@ def _square(values) -> np.ndarray:
         raise ValueError("matrix entries must be real numbers")
     if arr.dtype.kind != "c":
         try:
-            arr = arr.astype(float)
+            arr = arr.astype(float, order="C")
         except (TypeError, ValueError, OverflowError):
             # an object entry that is complex, not a number or too large
             raise ValueError("matrix entries must be real numbers") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ def _emit(obj, out: list):
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -122,7 +123,7 @@ def _emit(obj, out: list):
                 out.append(",")
             if not isinstance(key, str):
                 raise TypeError(f"non-string key: {key!r}")
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _emit(value, out)
         out.append("}")

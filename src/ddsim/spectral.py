@@ -8,8 +8,8 @@ similarity residual.
 
 Each thread keeps the spectrum of the matrix of its last spectral call
 (:func:`_spectrum`), so ``classify`` followed by the builders on one matrix
-pays for one spectral pass; every call still validates its input and
-verifies its own output.
+pays for one spectral pass and one ``eig``; every call still validates its
+input and verifies its own output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _residual, _scale, _singular_ratio, _tolerance, as_matrix
+from .core import _frobenius, _residual, _scale, _singular_ratio, _tolerance, as_matrix
 from .errors import ClusterAmbiguity, DdsimError, IllConditionedJordan
 
 #: Default relative eigenvalue clustering tolerance.
@@ -143,12 +143,11 @@ class _Cluster:
     power at a time, only as far as a caller needs it, and kept with the
     chains built from it.  A simple cluster needs none of it: its geometric
     multiplicity is 1, and ``vector`` holds the unit eigenvector ``eig``
-    returned for it (column ``column`` of the vectors), once one was asked
-    for.  Lazy state changes only when a step succeeds, so a step that
-    raises leaves the cluster as it was.
+    returned for it.  Lazy state changes only when a step succeeds, so a
+    step that raises leaves the cluster as it was.
     """
 
-    def __init__(self, a, members, mean, complex_field, column=None):
+    def __init__(self, a, members, mean, complex_field, vector=None):
         self.rep = complex(mean)
         # a simple cluster's member is its mean
         self.radius = (float(np.abs(np.array(members) - self.rep).max())
@@ -157,8 +156,7 @@ class _Cluster:
         self.lam = self.rep if complex_field else self.rep.real
         self.a = a
         self.dtype = complex if complex_field else float
-        self.column = column
-        self.vector = None
+        self.vector = vector
         self.bases = []
         self._chains = None
 
@@ -252,7 +250,11 @@ class _Cluster:
                 for _ in range(k - 1):
                     vs.append(m @ vs[-1])
                 vs.reverse()
-                norm_max = max(float(np.linalg.norm(v)) for v in vs)
+                # from about 1e154 a vector's squared norm overflows, not its norm
+                with np.errstate(over="ignore"):
+                    norm_max = max(float(np.linalg.norm(v)) for v in vs)
+                if norm_max == np.inf:
+                    norm_max = max(map(_frobenius, vs))
                 chains.append([v / norm_max for v in vs])
         self._chains = chains
         return chains
@@ -313,54 +315,25 @@ def _group(vals, tol, kind):
 
 
 class _Spectrum:
-    """One eigen-solve of ``a`` and the clusters of its spectrum.
+    """One ``eig`` solve of ``a`` and the clusters of its spectrum.
 
-    Every spectral fact of ``a`` is derived from this single pass, and kept:
+    Every spectral fact of ``a`` is derived from this single solve, and kept:
     :func:`_spectrum` hands the same object to each call on the same matrix,
     so ``scale``, the values, the clusters with their filtrations and chains,
-    and ``structure()`` are computed once per matrix, not once per call.
-    ``eigvals`` is called when only the eigen-structure is needed, ``eig``
-    when a Jordan basis may be built (simple clusters take their vector from
-    it); :meth:`solve` adds the other routine's solve to a kept spectrum.
+    and ``structure()`` are computed once per matrix, not once per call.  The
+    verdict, the eigen-structure and the Jordan basis all read the same
+    values, and each simple cluster takes its vector from the same solve.
     ``scale`` is ``_scale(a)``, shared by every band and residual limit;
     ``a`` must come from :func:`as_matrix`.  Lazy state is assigned only once
     it is complete, so a step that raises leaves none of it behind.
     """
 
-    def __init__(self, a, cluster_tol, vectors):
+    def __init__(self, a, cluster_tol):
         self.a = a
         self.scale = _scale(a)
         self.tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
-        self.values = None
-        self.solve(vectors)
-
-    def solve(self, vectors):
-        """Solve with ``eig`` when ``vectors`` is true, else ``eigvals``.
-
-        ``solvers`` names the numpy routines whose values are the held
-        ones.  When the new values are bitwise those already held, every
-        derived fact stands and each simple cluster takes its vector;
-        otherwise the new values replace them and every derived fact is
-        dropped, so the spectrum is the one a fresh solve gives."""
-        if vectors:
-            solver, (values, vector_columns) = "eig", np.linalg.eig(self.a)
-        else:
-            solver, values, vector_columns = "eigvals", np.linalg.eigvals(self.a), None
-        if (self.values is not None and values.dtype == self.values.dtype
-                and values.tobytes() == self.values.tobytes()):
-            self.solvers.add(solver)
-        else:
-            self.values, self.vectors, self.solvers = values, None, {solver}
-            self._clusters = self._structure = None
-        if vector_columns is not None:
-            self.vectors = vector_columns
-            if self._clusters is not None:
-                self._give_vectors(self._clusters)
-
-    def _give_vectors(self, clusters):
-        for cluster in (c for group in clusters for c in group if c.column is not None):
-            vector = self.vectors[:, cluster.column]
-            cluster.vector = vector if cluster.dtype is complex else vector.real
+        self.values, self.vectors = np.linalg.eig(a)
+        self._clusters = self._structure = None
 
     @property
     def clusters(self):
@@ -381,13 +354,12 @@ class _Spectrum:
                           key=lambda i: w[i].real)
         upper_idx = [i for i, z in enumerate(w) if z.imag > tol]
         out = []
-        for idx, pairs in ((real_idx, False), (upper_idx, True)):
+        for idx, pairs, vectors in ((real_idx, False, self.vectors.real),
+                                    (upper_idx, True, self.vectors)):
             values = [w[i] if pairs else w[i].real for i in idx]
             out.append([_Cluster(self.a, [values[i] for i in g], mean, pairs,
-                                 idx[g[0]] if len(g) == 1 else None)
+                                 vectors[:, idx[g[0]]] if len(g) == 1 else None)
                         for g, mean in zip(*_group(values, tol, "complex" if pairs else "real"))])
-        if self.vectors is not None:
-            self._give_vectors(out)
         self._clusters = tuple(out)
         return self._clusters
 
@@ -445,25 +417,21 @@ class _Spectrum:
 _slot = threading.local()
 
 
-def _spectrum(a, cluster_tol, vectors):
-    """The :class:`_Spectrum` of a validated ``a`` at ``cluster_tol``, solved
-    by ``eig`` when ``vectors`` is true and by ``eigvals`` otherwise.
+def _spectrum(a, cluster_tol):
+    """The :class:`_Spectrum` of a validated ``a`` at ``cluster_tol``.
 
-    Each thread keeps one: the spectrum of its last call, keyed by the shape,
-    memory layout and bytes of ``a`` and by ``cluster_tol``.  A call on the
-    same key reuses it, solving once more only when the held values do not
-    yet come from the routine asked for; any other call replaces it.  Every
-    result is the one a fresh spectrum gives, whatever came before.
+    Each thread keeps one: the spectrum of its last call, keyed by the shape
+    and bytes of ``a`` (validation makes every matrix C-ordered) and by
+    ``cluster_tol``.  A call on the same key reuses it; any other call
+    replaces it.  Every result is the one a fresh spectrum gives, whatever
+    came before.
     """
-    key = (a.shape, a.strides, a.tobytes(), cluster_tol)
+    key = (a.shape, a.tobytes(), cluster_tol)
     last = getattr(_slot, "last", None)
-    if last is None or last[0] != key:
-        spectrum = _Spectrum(a, cluster_tol, vectors)
-        _slot.last = key, spectrum
-        return spectrum
-    spectrum = last[1]
-    if ("eig" if vectors else "eigvals") not in spectrum.solvers:
-        spectrum.solve(vectors)
+    if last is not None and last[0] == key:
+        return last[1]
+    spectrum = _Spectrum(a, cluster_tol)
+    _slot.last = key, spectrum
     return spectrum
 
 
@@ -498,7 +466,7 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     :class:`ClusterAmbiguity` when the grouping is not numerically decidable
     at this tolerance.
     """
-    return _spectrum(as_matrix(a), cluster_tol, vectors=False).structure()
+    return _spectrum(as_matrix(a), cluster_tol).structure()
 
 
 def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0):
@@ -543,7 +511,7 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     final residual check fails; callers may retry with another
     ``cluster_tol``.
     """
-    spectrum = _spectrum(as_matrix(a), cluster_tol, vectors=True)
+    spectrum = _spectrum(as_matrix(a), cluster_tol)
     blocks, p = spectrum.chain_inverse()
     _, j = _assemble_jordan(blocks, len(p))
     return RealJordanForm(J=j, P=p, blocks=blocks, residual=_checked_residual(

@@ -1,9 +1,11 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from _gen import spectrum_matrix
 import ddsim.cli
 from ddsim import similarity_residual
 from ddsim.cli import build_parser, main
@@ -306,6 +308,35 @@ def criterion_9_argvs(tmp_path):
         ["transform", "--input", skew, "--mode", "real"],
         ["special", "--input", metzler, "m-scale"],
     ]
+
+
+#: The matrices of acceptance criterion 9, and two separated spectra.
+_GOLDEN_MATRICES = {
+    "tri": [[-2, 1], [0, -3]],
+    "rot": [[-1, 2], [-2, -1]],
+    "skew": [[0, 1], [-1, 0]],
+    "metzler": [[-2, 1], [1, -2]],
+    "n8": spectrum_matrix(np.random.default_rng(8), 8).tolist(),
+    "n12": spectrum_matrix(np.random.default_rng(12), 12, dominant_pairs_only=False).tolist(),
+}
+#: Exit code and SHA-256 of the stdout of ``classify`` on each matrix,
+#: recorded while ``classify`` still solved with ``eigvals`` and the
+#: certificate builders with ``eig``.
+CLASSIFY_GOLDEN = [
+    ("tri", 0, "2b4db29937889d83496d5f0f47f0c3402873d678a511598b391d5d67f8510110"),
+    ("rot", 3, "3ed9dab644fe282de734eb512646d93531852c42b1d0b54cd699badd7135696d"),
+    ("skew", 3, "d0cb72c7762d6e73060fb123de62b25fcbfb3e66cf2a73bd5c71bb93c25e7a79"),
+    ("metzler", 0, "7e8d99c8775699de4fd936054a069377a1cbeb8ad82265fca2bf60dfc7332291"),
+    ("n8", 0, "81c75b3b7a9f29e17ca5952f3b28049edecba730c7aa884bafae1cd645aec328"),
+    ("n12", 3, "9db52c9201125fb160caa414de29dd2ab9296d9e935cfb3eb3083dd24a21e431"),
+]
+
+
+@pytest.mark.parametrize("name, exit_code, stdout_sha", CLASSIFY_GOLDEN)
+def test_classify_matches_recorded_stdout(tmp_path, capsys, name, exit_code, stdout_sha):
+    path = write_json(tmp_path, f"{name}.json", _GOLDEN_MATRICES[name])
+    code, out, err = run(capsys, ["classify", "--input", path])
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (exit_code, stdout_sha, "")
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

@@ -397,3 +397,19 @@ def test_large_entries_keep_finite_thresholds(c, family):
     assert np.isfinite(certificate_tol(a))
     _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
     _check_certificate(a, build_complex_dd_transform(a))
+
+
+@pytest.mark.parametrize("call", [
+    real_jordan_form,
+    lambda a: build_real_dd_transform(a, Target.STRICT),
+    build_complex_dd_transform,
+], ids=["real_jordan_form", "build_real", "build_complex"])
+def test_large_chain_is_refused_with_a_finite_ratio(call):
+    # the chain's top vector has a norm near 1e160, whose square overflows:
+    # the chain is still normalised (with no overflow warning, which the
+    # suite turns into an error) and its basis refused as numerically singular
+    a = 1e160 * np.array([[-2.0, 1.0], [0.0, -2.0]])
+    with pytest.raises(IllConditionedJordan,
+                       match=re.escape("Jordan basis is numerically singular "
+                                       "(sv ratio 1.000e-160 / 1.000e+00)")):
+        call(a)

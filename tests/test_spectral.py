@@ -152,7 +152,7 @@ def test_chains_come_longest_first_as_built(case, reverse):
     _, a = _assemble_jordan(blocks, sum(b.dim for b in blocks))
     if reverse:  # the similarity by the reversal permutation
         a = a[::-1, ::-1].copy()
-    (cluster,) = [c for kind in _Spectrum(a, CLUSTER_TOL, vectors=True).clusters for c in kind]
+    (cluster,) = [c for kind in _Spectrum(a, CLUSTER_TOL).clusters for c in kind]
     assert [len(chain) for chain in cluster.chains()] == lengths
     assert [b.size if isinstance(b, RealJordanBlock) else b.chain_length
             for b in real_jordan_form(a).blocks] == lengths
@@ -346,7 +346,7 @@ def _spectra(draw):
         else:
             w.append(complex(re, 0.0))
     w = np.array(draw(st.permutations(w)))
-    # eigvals returns a real array when the whole spectrum is real
+    # eig returns real values when the whole spectrum is real
     if not w.imag.any() and draw(st.booleans()):
         w = w.real
     return w, tol
@@ -356,8 +356,8 @@ def _spectra(draw):
 @given(_spectra())
 def test_clusters_match_the_reference_realness_and_grouping(case):
     w, tol = case
-    spectrum = _Spectrum(np.eye(1), 0.0, vectors=False)
-    spectrum.values, spectrum.tol = w, tol
+    spectrum = _Spectrum(np.eye(1), 0.0)
+    spectrum.values, spectrum.vectors, spectrum.tol = w, np.eye(len(w)), tol
 
     def summaries():
         return [[(c.rep, c.alg_mult, c.radius) for c in kind] for kind in spectrum.clusters]

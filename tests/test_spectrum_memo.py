@@ -84,14 +84,14 @@ def a():
 def test_repeated_call_solves_once(a, solves):
     for _ in range(3):
         classify(a)
-    assert solves["eigvals"] == 1
+    assert solves == {"eig": 1}
 
 
 def test_in_place_change_misses(a, solves):
     before = _end(classify, a)
     a[0, 0] += 0.25
     after = _end(classify, a)
-    assert solves["eigvals"] == 2
+    assert solves == {"eig": 2}
     assert after != before
     _forget()
     assert _end(classify, a) == after
@@ -100,14 +100,19 @@ def test_in_place_change_misses(a, solves):
 def test_other_cluster_tol_misses(a, solves):
     classify(a)
     classify(a, cluster_tol=2 * CLUSTER_TOL)
-    assert solves["eigvals"] == 2
+    assert solves == {"eig": 2}
 
 
-def test_other_layout_misses(a, solves):
-    # the same values in column-major memory are solved again
-    classify(a)
-    classify(np.asfortranarray(a))
-    assert solves["eigvals"] == 2
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_other_layout_hits(a, solves, name):
+    # validation makes every matrix C-ordered, so the same values in
+    # column-major memory are the same matrix: kept or not, the bits match
+    cold = _end(CALLS[name], a)
+    f_ordered = np.asfortranarray(a)
+    assert _end(CALLS[name], f_ordered) == cold
+    assert solves == {"eig": 1}
+    _forget()
+    assert _end(CALLS[name], f_ordered) == cold
 
 
 def test_each_thread_keeps_its_own(a, solves):
@@ -115,43 +120,26 @@ def test_each_thread_keeps_its_own(a, solves):
     worker = threading.Thread(target=classify, args=(a,))
     worker.start()
     worker.join()
-    assert solves["eigvals"] == 2
+    assert solves == {"eig": 2}
     classify(a)
-    assert solves["eigvals"] == 2
+    assert solves == {"eig": 2}
 
 
 def test_one_slot(a, solves):
     b = spectrum_matrix(np.random.default_rng(4), 6)
     for m in (a, b, a):
         classify(m)
-    assert solves["eigvals"] == 3
+    assert solves == {"eig": 3}
 
 
-def test_eig_apart_from_eigvals_rebuilds_from_eig(monkeypatch, solves):
-    # eig moves one value by one ulp: the build must not keep classify's
-    # clusters, and ends as a build from an empty slot does under the patch
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_call_after_classify_makes_no_solve(solves, name):
+    # classify solves with eig, so a builder after it reads the same values
+    # and takes each simple cluster's vector from the same solve
     a = spectrum_matrix(np.random.default_rng(5), 6, require_pair=True)
-    eig = np.linalg.eig
-
-    def nudged(m):
-        values, vectors = eig(m)
-        values = values.copy()
-        values[0] = np.nextafter(values[0].real, np.inf) + 1j * values[0].imag
-        return values, vectors
-
-    monkeypatch.setattr(np.linalg, "eig", nudged)
-    for name in ("build_real_strict", "build_complex", "real_jordan_form"):
-        _forget()
-        cold = _end(CALLS[name], a)
-        _forget()
-        classify(a)
-        assert _end(CALLS[name], a) == cold
-        assert ddsim.spectral._slot.last[1].solvers == {"eig"}
-        # and classify after it solves with eigvals again, as from an empty slot
-        _forget()
-        cold_classify = _end(classify, a)
-        CALLS[name](a)
-        assert _end(classify, a) == cold_classify
+    classify(a)
+    CALLS[name](a)
+    assert solves == {"eig": 1}
 
 
 def test_untyped_failure_empties_the_slot(monkeypatch):
@@ -170,7 +158,7 @@ def test_untyped_failure_empties_the_slot(monkeypatch):
 
 def test_failed_filtration_step_changes_nothing(monkeypatch):
     a = chain_matrix(np.random.default_rng(6), "real", 3)
-    (cluster,) = _Spectrum(a, 1e-4, vectors=True).clusters[0]
+    (cluster,) = _Spectrum(a, 1e-4).clusters[0]
     assert cluster.geo_mult == 1
     state = (len(cluster.bases), cluster.power.tobytes(), cluster.sig)
     nullspace = ddsim.spectral._nullspace
@@ -183,12 +171,12 @@ def test_failed_filtration_step_changes_nothing(monkeypatch):
         cluster.chains()
     assert (len(cluster.bases), cluster.power.tobytes(), cluster.sig) == state
     monkeypatch.setattr(ddsim.spectral, "_nullspace", nullspace)
-    (fresh,) = _Spectrum(a, 1e-4, vectors=True).clusters[0]
+    (fresh,) = _Spectrum(a, 1e-4).clusters[0]
     assert [[v.tobytes() for v in chain] for chain in cluster.chains()] == \
         [[v.tobytes() for v in chain] for chain in fresh.chains()]
 
 
 def test_chains_are_built_once():
     a = chain_matrix(np.random.default_rng(8), "pair", 3)
-    (cluster,) = _Spectrum(a, 1e-4, vectors=True).clusters[1]
+    (cluster,) = _Spectrum(a, 1e-4).clusters[1]
     assert cluster.chains() is cluster.chains()
