@@ -94,33 +94,40 @@ _CASES = {
 }
 
 
-def _cases(structure: EigenStructure, tol: float, zero_tol: float):
-    """The case of each real eigenvalue, then each pair, and their verdict."""
-    cases = ["real-zero" if abs(e.value) <= zero_tol else "real-nonzero"
-             for e in structure.real_eigs]
-    for p in structure.complex_pairs:
-        if p.modulus <= zero_tol:
-            cases.append("pair-zero")
-        elif is_borderline(p.alpha, p.beta, tol):
-            cases.append("pair-borderline-semisimple" if p.geo_mult == p.alg_mult
-                         else "pair-borderline-defective")
-        else:
-            cases.append("pair-dominant" if abs(p.alpha) > abs(p.beta) else "pair-subdominant")
-    failed = {case for case in cases if not _CASES[case][0]}
+def _case(e, tol: float, zero_tol: float) -> str:
+    """The case of one real eigenvalue or pair ``e``: the only comparison of an
+    eigenvalue with the zero band ``zero_tol`` or the borderline band ``tol``,
+    and the only sector test; a pair is defective when ``geo_mult < alg_mult``."""
+    if isinstance(e, RealEigenvalue):
+        return "real-zero" if abs(e.value) <= zero_tol else "real-nonzero"
+    if e.modulus <= zero_tol:
+        return "pair-zero"
+    if is_borderline(e.alpha, e.beta, tol):
+        return ("pair-borderline-semisimple" if e.geo_mult == e.alg_mult
+                else "pair-borderline-defective")
+    return "pair-subdominant" if abs(e.alpha) < abs(e.beta) else "pair-dominant"
+
+
+def _cases(structure: EigenStructure, tol: float, scale: float):
+    """``(e, case)`` for each real eigenvalue ``e``, then each pair, their
+    verdict, and the zero band ``tol * scale`` (``scale = _scale(a)``)."""
+    zero_tol = tol * scale
+    cases = [(e, _case(e, tol, zero_tol)) for e in structure.real_eigs + structure.complex_pairs]
+    failed = {case for _, case in cases if not _CASES[case][0]}
     if failed & {"real-zero", "pair-zero"}:
-        return cases, Verdict.OUT_OF_SCOPE_SINGULAR
+        return cases, Verdict.OUT_OF_SCOPE_SINGULAR, zero_tol
     if failed:
-        return cases, Verdict.IMPOSSIBLE
-    if "pair-borderline-semisimple" in cases:
-        return cases, Verdict.NON_STRICT_ONLY
-    return cases, Verdict.STRICT_ACHIEVABLE
+        return cases, Verdict.IMPOSSIBLE, zero_tol
+    if any(case == "pair-borderline-semisimple" for _, case in cases):
+        return cases, Verdict.NON_STRICT_ONLY, zero_tol
+    return cases, Verdict.STRICT_ACHIEVABLE, zero_tol
 
 
 def _classify_structure(structure: EigenStructure, tol: float,
-                        zero_tol: float) -> DDClassification:
-    cases, verdict = _cases(structure, tol, zero_tol)
+                        scale: float) -> DDClassification:
+    cases, verdict, zero_tol = _cases(structure, tol, scale)
     evidence = []
-    for e, case in zip(structure.real_eigs + structure.complex_pairs, cases):
+    for e, case in cases:
         kind = case.partition("-")[0]
         evidence.append(Finding(
             kind, (e.value,) if kind == "real" else (e.alpha, e.beta), e.alg_mult, e.geo_mult,
@@ -128,12 +135,6 @@ def _classify_structure(structure: EigenStructure, tol: float,
     borderline = tuple(f.value for f in evidence if "borderline" in f.case)
     return DDClassification(verdict=verdict, evidence=tuple(evidence),
                             borderline_pairs=borderline, structure=structure)
-
-
-def _zero_tol(tol: float, scale: float) -> float:
-    """Half-width of the zero-eigenvalue band: ``tol * (1 + ||a||_F)``, given
-    ``scale = _scale(a)``."""
-    return tol * scale
 
 
 @_forget_on_failure
@@ -148,7 +149,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    return _classify_structure(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
+    return _classify_structure(spectrum.structure(), tol, spectrum.scale)
 
 
 def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
@@ -181,7 +182,7 @@ def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
         pair = ComplexPair(alpha=peak * half_trace, beta=peak * math.sqrt(-disc),
                            alg_mult=1, geo_mult=1)
         structure = EigenStructure(real_eigs=(), complex_pairs=(pair,))
-    return _classify_structure(structure, tol, _zero_tol(tol, _scale(a)))
+    return _classify_structure(structure, tol, _scale(a))
 
 
 def _half_trace_disc(a00, a01, a10, a11):

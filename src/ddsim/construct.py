@@ -17,15 +17,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .classify import BORDERLINE_TOL, Verdict, _cases, _zero_tol, is_borderline
+from .classify import BORDERLINE_TOL, Verdict, _case, _cases
 from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
-from .spectral import (CLUSTER_TOL, RealJordanBlock, RealJordanForm, _assemble_jordan,
-                       _checked_residual, _forget_on_failure, _spectrum,
-                       jordan_residual_tol)
+from .spectral import (CLUSTER_TOL, ComplexPair, RealEigenvalue, RealJordanBlock,
+                       RealJordanForm, _assemble_jordan, _checked_residual,
+                       _forget_on_failure, _spectrum, jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
 MARGIN_FRACTION = 0.5
@@ -55,32 +56,22 @@ class SimilarityCertificate:
     target: Target
 
 
-def _block_slack(block, target, borderline_tol):
-    """Dominance slack of the rows of one block, or None for a boundary cell."""
-    if isinstance(block, RealJordanBlock):
-        if block.eigenvalue == 0.0:
-            raise PreconditionViolated(
-                f"real Jordan block at eigenvalue 0 (size {block.size})",
-                offender=block)
-        return abs(block.eigenvalue)
-    if is_borderline(block.alpha, block.beta, borderline_tol):
-        if target is Target.STRICT:
-            raise PreconditionViolated(
-                f"pair ({block.alpha:.6g}, {block.beta:.6g}) sits on the "
-                "|alpha| = |beta| boundary; strict dominance is unreachable",
-                offender=block)
-        if block.chain_length > 1:
-            raise PreconditionViolated(
-                f"boundary pair ({block.alpha:.6g}, {block.beta:.6g}) is "
-                f"defective (chain length {block.chain_length})",
-                offender=block)
-        return None
-    slack = abs(block.alpha) - abs(block.beta)
-    if slack <= 0.0:
-        raise PreconditionViolated(
-            f"pair ({block.alpha:.6g}, {block.beta:.6g}) has |alpha| < |beta|",
-            offender=block)
-    return slack
+#: A certificate's slack for a cluster in each case a target permits: the row
+#: dominance ``|lambda|`` or ``|alpha| - |beta|``, or None, which pins a boundary pair.
+_SLACKS = {"real-nonzero": lambda e: abs(e.value),
+           "pair-dominant": lambda e: abs(e.alpha) - abs(e.beta),
+           "pair-borderline-semisimple": lambda e: None}
+
+#: The refusal of a block by :func:`scale_jordan_to_dd`, by case; "strict-borderline" is any
+#: boundary pair under the strict target.
+_REFUSALS = {
+    "real-zero": "real Jordan block at eigenvalue 0 (size {b.size})",
+    "strict-borderline": "pair ({b.alpha:.6g}, {b.beta:.6g}) sits on the |alpha| = |beta| "
+                         "boundary; strict dominance is unreachable",
+    "pair-borderline-defective": "boundary pair ({b.alpha:.6g}, {b.beta:.6g}) is defective "
+                                 "(chain length {b.chain_length})",
+    "pair-subdominant": "pair ({b.alpha:.6g}, {b.beta:.6g}) has |alpha| < |beta|",
+}
 
 
 def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
@@ -116,14 +107,14 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
     return _assemble_jordan(blocks, n, diagonal_cells, rho)
 
 
-def _certified(spectrum, target, slack, miss_message, diagonal_cells=False):
-    """The certificate ``B = P A P^{-1}`` (``A`` is ``spectrum.a``) with
-    ``P = diag(d) inv(Q)`` for the chain basis ``Q`` and ``(d, B)`` from
-    :func:`_scaled` at ``slack(block)`` per block, once the residual is within
-    ``certificate_tol`` and ``B`` meets ``target``; otherwise
-    :class:`IllConditionedJordan`, with ``miss_message`` for a missed target."""
+def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
+    """The certificate ``B = P A P^{-1}`` of ``A = spectrum.a``: ``P = diag(d) inv(Q)`` for
+    the chain basis ``Q`` and ``(d, B)`` from :func:`_scaled`, each chain at its cluster's
+    entry of ``slacks``; :class:`IllConditionedJordan` unless the residual is within
+    ``certificate_tol`` and ``B`` meets ``target`` (``miss_message`` for a miss)."""
     blocks, p_j = spectrum.chain_inverse(diagonal_cells)
-    d, b = _scaled(blocks, len(p_j), list(map(slack, blocks)), MARGIN_FRACTION, diagonal_cells)
+    slacks = [s for s, c in zip(slacks, chain(*spectrum.clusters)) for _ in c.chains()]
+    d, b = _scaled(blocks, len(p_j), slacks, MARGIN_FRACTION, diagonal_cells)
     # with diagonal cells P is complex also when every eigenvalue is real
     p = np.multiply(d[:, None], p_j, dtype=b.dtype)
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
@@ -144,12 +135,24 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     smallest row slack among the chains being scaled; rotation cells keep
     both coordinates equally weighted so their entries are untouched.  For a
     non-strict target, cells on the ``|alpha| = |beta|`` boundary are pinned
-    at exact equality and receive no scaling.
+    at exact equality and receive no scaling.  Each block is decided as one
+    chain by the case function of :mod:`ddsim.classify`: a real block against
+    zero band 0, a pair block (defective when its chain is longer than one
+    cell) against none, since the only pair at zero, ``(0, 0)``, is borderline.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     _tolerance(borderline_tol, "borderline_tol")
-    slacks = [_block_slack(b, target, borderline_tol) for b in jordan.blocks]
+    slacks = []
+    for b in jordan.blocks:
+        real = isinstance(b, RealJordanBlock)
+        e = (RealEigenvalue(b.eigenvalue, b.size, 1) if real
+             else ComplexPair(b.alpha, b.beta, b.chain_length, min(b.chain_length, 1)))
+        case = _case(e, borderline_tol, 0.0 if real else -math.inf)
+        key = "strict-borderline" if target is Target.STRICT and "borderline" in case else case
+        if key in _REFUSALS:
+            raise PreconditionViolated(_REFUSALS[key].format(b=b), offender=b)
+        slacks.append(_SLACKS[case](e))
     d, b_mat = _scaled(jordan.blocks, sum(b.dim for b in jordan.blocks), slacks, margin)
     return np.diag(d), b_mat
 
@@ -160,17 +163,17 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
                             cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
     """Real ``P`` with ``B = P A P^{-1}`` diagonally dominant, when possible.
 
-    Raises :class:`NotAchievable` when the classification rules the target
-    out, before any chain is built, and propagates Jordan failures.  The
-    verdict and the chain basis come from one spectral pass.  Couplings
-    shrink to ``MARGIN_FRACTION`` of the chain slack.  The returned
-    certificate is checked independently of the construction: dominance is
-    recomputed from ``B`` and the residual from the triple.
+    Raises :class:`NotAchievable` when the case table of :func:`classify`
+    rules the target out, before any chain is built, and propagates Jordan
+    failures.  Couplings shrink to ``MARGIN_FRACTION`` of the slack the table
+    gives each cluster.  The returned certificate is checked independently of
+    the construction: dominance is recomputed from ``B`` and the residual
+    from the triple.
     """
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    _, verdict = _cases(spectrum.structure(), tol, _zero_tol(tol, spectrum.scale))
+    cases, verdict, _ = _cases(spectrum.structure(), tol, spectrum.scale)
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
                                    Verdict.NON_STRICT_ONLY)}[target]
@@ -179,7 +182,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
             f"verdict {verdict.value} does not permit target {target.value}",
             classification=verdict)
 
-    return _certified(spectrum, target, lambda b: _block_slack(b, target, tol),
+    return _certified(spectrum, target, [_SLACKS[case](e) for e, case in cases],
                       "constructed matrix misses the dominance target; the input "
                       "is too close to a classification boundary")
 
@@ -193,20 +196,19 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     verdict is impossible: each rotation-like cell is diagonalised over the
     complex numbers, then chain couplings are shrunk geometrically to
     ``MARGIN_FRACTION`` of the eigenvalue modulus.  Raises
-    :class:`SingularInput` when, as in :func:`classify`, a cluster's
-    representative (its modulus for a pair) is within the zero band.
+    :class:`SingularInput` when the case table of :func:`classify` gives
+    ``OutOfScopeSingular``; each cluster's slack is its ``|lambda|``.
     """
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    zero_tol = _zero_tol(tol, spectrum.scale)
-    if min(abs(c.rep) for clusters in spectrum.clusters for c in clusters) <= zero_tol:
-        raise SingularInput(
-            f"an eigenvalue lies within {zero_tol:.3e} of zero")
+    cases, verdict, zero_tol = _cases(spectrum.structure(), tol, spectrum.scale)
+    if verdict is Verdict.OUT_OF_SCOPE_SINGULAR:
+        raise SingularInput(f"an eigenvalue lies within {zero_tol:.3e} of zero")
 
     return _certified(spectrum, Target.STRICT,
-                      lambda b: (abs(b.eigenvalue) if isinstance(b, RealJordanBlock)
-                                 else float(np.hypot(b.alpha, b.beta))),
+                      [e.modulus if isinstance(e, ComplexPair) else abs(e.value)
+                       for e, _ in cases],
                       "complex construction missed strict dominance; eigenvalues "
                       "are too close to zero for the working precision",
                       diagonal_cells=True)

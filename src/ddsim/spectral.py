@@ -172,9 +172,13 @@ class _Cluster:
         k = len(self.bases) or 1
         if k == 2:
             sig = float(np.linalg.norm(m, 2))
-        power = power @ m
-        # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
-        growth = max(1.0, sig) ** (k - 1) if k > 1 else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ m
+            # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
+            growth = np.float64(max(1.0, sig)) ** (k - 1) if k > 1 else 1.0
+        if not (growth < np.inf and np.isfinite(power).all()):
+            raise IllConditionedJordan(
+                f"power {k} of A - lambda I overflows near eigenvalue {self.lam:.6g}")
         basis = _nullspace(power, 2.0 * k * self.radius * growth)
         self.m, self.power, self.sig = m, power, sig
         self.bases += first + [basis]

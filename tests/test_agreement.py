@@ -9,6 +9,7 @@ exactly as the separate one does.
 
 import contextlib
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,8 +23,8 @@ from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
                    classify, classify_2x2, eigen_structure, jordan_residual_tol,
                    similarity_residual)
 from ddsim.core import _scale
-from ddsim.errors import (ClusterAmbiguity, DdsimError, NotAchievable, PreconditionViolated,
-                          SingularInput)
+from ddsim.errors import (ClusterAmbiguity, DdsimError, IllConditionedJordan, NotAchievable,
+                          PreconditionViolated, SingularInput)
 from ddsim.spectral import _assemble_jordan, _forget, _Spectrum
 
 
@@ -197,3 +198,18 @@ def test_complex_build_is_singular_exactly_when_classify_says_so(a):
     except DdsimError:
         singular = False
     assert singular is (verdict is Verdict.OUT_OF_SCOPE_SINGULAR)
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e-9, 1e-12])
+def test_builders_refuse_inconsistent_multiplicities_as_classify_does(c):
+    # the pair sits within the clustering band of the real axis, so both
+    # eigenvalues join one real cluster whose a - mean I has no numerical
+    # kernel; at 1e-12 the cluster also lies in the zero band, which is only
+    # read once the multiplicities are known
+    a = c * np.array([[-2.0, 1.0], [-1.0, -2.0]])
+    message = (f"inconsistent multiplicities for eigenvalue {-2.0 * c:.6g}: "
+               "geometric 0, algebraic 2")
+    for call in (classify, build_real_dd_transform, build_complex_dd_transform):
+        _forget()
+        with pytest.raises(IllConditionedJordan, match=re.escape(message)):
+            call(a)

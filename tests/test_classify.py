@@ -133,6 +133,15 @@ def test_params_feasible(alpha, beta, x, y, expected):
     assert params_feasible(alpha, beta, x, y) is expected
 
 
+@pytest.mark.parametrize("beta, y, message", [
+    (0.0, 1.0, "beta must be nonzero"),
+    (1.0, 0.0, "y must be nonzero"),
+])
+def test_params_feasible_rejects_degenerate_parameters(beta, y, message):
+    with pytest.raises(ValueError, match=message):
+        params_feasible(-1.0, beta, 0.0, y)
+
+
 def test_params_feasible_strict_at_boundary():
     assert params_feasible(-1.0, 1.0, 0.0, 1.0, strict=False)
     assert not params_feasible(-1.0, 1.0, 0.0, 1.0, strict=True)

@@ -9,7 +9,8 @@ from _gen import spectrum_matrix
 import ddsim.cli
 from ddsim import similarity_residual
 from ddsim.cli import build_parser, main
-from ddsim.io import dumps
+from ddsim.errors import MatrixParseError
+from ddsim.io import dumps, load_matrix
 
 
 def write_json(tmp_path, name, rows):
@@ -254,6 +255,13 @@ def test_numerical_failure_and_usage_error_exit_codes_differ(tmp_path, capsys):
     assert "--tol" in err
 
 
+def test_unparsable_tol_is_a_usage_error(tmp_path, capsys):
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    code, err = parse_error(capsys, ["classify", "--input", path, "--tol", "abc"])
+    assert code == 64
+    assert "invalid float value: 'abc'" in err
+
+
 BOUNDARY_PAIR = [[-1, 1], [-1, -1]]
 
 
@@ -473,3 +481,23 @@ def test_arrays_emit_as_the_float_lists_they_replaced(a):
     # a row stands for the dominance margins, a 1-D array
     text = dumps({"M": doc, "margins": a.real[0]})
     assert text == dumps({"M": reference, "margins": [float(m) for m in a.real[0]]})
+
+
+def test_dumps_writes_none_as_null():
+    assert dumps({"x": None, "y": [None]}) == '{"x":null,"y":[null]}'
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ({1: 2.0}, TypeError, "non-string key: 1"),
+    ({"x": {1.5, 2.5}}, TypeError, "cannot serialize set"),
+    ([1.0, float("nan")], ValueError, "cannot serialize non-finite value"),
+])
+def test_dumps_refuses_what_json_cannot_hold(doc, error, message):
+    with pytest.raises(error, match=message):
+        dumps(doc)
+
+
+def test_load_matrix_refuses_an_unknown_format(tmp_path):
+    path = write_json(tmp_path, "a.json", [[1.0]])
+    with pytest.raises(MatrixParseError, match="unknown format 'xml'"):
+        load_matrix(path, "xml")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from _gen import chain_matrix, spectrum_matrix
-from ddsim import (Axis, Target, Verdict, build_complex_dd_transform,
+from ddsim import (CLUSTER_TOL, Axis, Target, Verdict, as_matrix, build_complex_dd_transform,
                    build_real_dd_transform, certificate_tol, classify, is_diag_dominant,
                    real_jordan_form, scale_jordan_to_dd, similarity_residual)
 from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
                           SingularInput)
+from ddsim.spectral import _spectrum
 
 
 def _check_certificate(a, cert):
@@ -413,3 +414,26 @@ def test_large_chain_is_refused_with_a_finite_ratio(call):
                        match=re.escape("Jordan basis is numerically singular "
                                        "(sv ratio 1.000e-160 / 1.000e+00)")):
         call(a)
+
+
+@pytest.mark.parametrize("c, k", [(1e120, 3), (1e155, 2), (1e160, 2)])
+@pytest.mark.parametrize("call", [
+    real_jordan_form,
+    lambda a: build_real_dd_transform(a, Target.STRICT),
+    build_complex_dd_transform,
+], ids=["real_jordan_form", "build_real", "build_complex"])
+def test_overflowing_filtration_power_is_refused_typed(call, c, k):
+    # classify needs only the first power of A - lambda I; the chains need
+    # its k-th, which overflows: a typed refusal with no overflow warning
+    # (the suite turns a RuntimeWarning into an error)
+    a = c * np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]])
+    assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE
+    spectrum = _spectrum(as_matrix(a), CLUSTER_TOL)
+    (cluster,), _ = spectrum.clusters
+    message = f"power {k} of A - lambda I overflows near eigenvalue "
+    # the failed step assigns no state: the cluster keeps the k powers before
+    # it (with the empty kernel of the 0th), and a second call ends as the first
+    for _ in range(2):
+        with pytest.raises(IllConditionedJordan, match=re.escape(message)):
+            call(a)
+        assert len(cluster.bases) == k

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ddsim
-from ddsim import (Axis, as_matrix, comparison_matrix, gershgorin_discs,
-                   is_diag_dominant, similarity_residual)
+from ddsim import (Axis, as_matrix, comparison_matrix, default_dominance_tol,
+                   gershgorin_discs, is_diag_dominant, similarity_residual)
 from ddsim.core import _dominance, _frobenius, _scale, _singular_ratio
 from ddsim.errors import SingularTransform
 
@@ -28,6 +28,13 @@ def test_dominance_boundary_pair():
     assert not rep.strict
     assert rep.non_strict
     np.testing.assert_array_equal(rep.margins, [0.0, 0.0])
+
+
+def test_dominance_default_tol_scales_with_the_largest_entry():
+    a = [[2.0, 1.0], [1.0, 2.0]]
+    rep = is_diag_dominant(a)
+    assert rep.tol == default_dominance_tol(a) == pytest.approx(3e-12, rel=1e-15)
+    assert rep.satisfied
 
 
 def test_dominance_violated():

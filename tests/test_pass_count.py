@@ -11,17 +11,19 @@ evidence."""
 
 import contextlib
 import importlib
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from _gen import chain_matrix, spectrum_matrix
+from _gen import canonical_from_spectrum, chain_matrix, spectrum_matrix, well_conditioned
 from ddsim import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, Target, Verdict,
                    build_complex_dd_transform, build_real_dd_transform, classify,
                    h_matrix_scaling, is_h_matrix, is_hurwitz, is_m_matrix, is_metzler,
-                   is_z_matrix, metzler_hurwitz_scaling)
+                   is_z_matrix, metzler_hurwitz_scaling, real_jordan_form, scale_jordan_to_dd)
+import ddsim
 import ddsim.core
 import ddsim.spectral
 from ddsim.classify import _cases, _classify_structure
@@ -227,7 +229,8 @@ def test_only_classify_builds_evidence(separated8, finding_calls):
                                         + len(structure.complex_pairs)) > 0
 
 
-_TOL, _ZERO_TOL = 1e-9, 1e-8
+_TOL, _SCALE = 1e-9, 10.0
+_ZERO_TOL = _TOL * _SCALE
 #: One eigenvalue or pair in each case; the real zero sits on the band's edge.
 _CASE_EXAMPLES = {
     "real-zero": RealEigenvalue(-_ZERO_TOL, 1, 1),
@@ -259,10 +262,37 @@ def test_case_table_and_evidence_give_one_verdict(names):
     structure = EigenStructure(
         tuple(e for e in examples if isinstance(e, RealEigenvalue)),
         tuple(e for e in examples if isinstance(e, ComplexPair)))
-    cases, verdict = _cases(structure, _TOL, _ZERO_TOL)
-    result = _classify_structure(structure, _TOL, _ZERO_TOL)
-    assert sorted(cases) == sorted(names)
-    assert [f.case for f in result.evidence] == cases
+    cases, verdict, zero_tol = _cases(structure, _TOL, _SCALE)
+    result = _classify_structure(structure, _TOL, _SCALE)
+    assert zero_tol == _ZERO_TOL
+    assert sorted(case for _, case in cases) == sorted(names)
+    assert [(e, f.case) for e, f in zip(structure.real_eigs + structure.complex_pairs,
+                                        result.evidence)] == cases
     assert verdict is result.verdict is _reference_verdict(names)
     assert result.borderline_pairs == tuple((e.alpha, e.beta) for name, e in zip(names, examples)
                                             if "borderline" in name)
+
+
+@pytest.mark.parametrize("call", [
+    classify,
+    lambda a: build_real_dd_transform(a, Target.STRICT),
+    build_complex_dd_transform,
+    lambda a: scale_jordan_to_dd(real_jordan_form(a)),
+], ids=["classify", "build_real", "build_complex", "scale_jordan_to_dd"])
+def test_borderline_band_is_tested_once_per_pair(monkeypatch, call):
+    # each call decides each pair's case once, and the builders read it;
+    # every module that holds the band test counts through it
+    calls = Counter()
+    is_borderline = ddsim.is_borderline
+
+    def counting(*args):
+        calls["is_borderline"] += 1
+        return is_borderline(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ddsim.") and getattr(module, "is_borderline", None) is is_borderline:
+            monkeypatch.setattr(module, "is_borderline", counting)
+    q = well_conditioned(np.random.default_rng(6), 6)
+    a = q @ canonical_from_spectrum([-1.0, 3.0], [(-3.0, 1.0), (2.5, 0.5)]) @ np.linalg.inv(q)
+    call(a)
+    assert calls["is_borderline"] == 2

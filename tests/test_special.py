@@ -5,7 +5,7 @@ from _gen import hurwitz_h_matrix, metzler_hurwitz_matrix
 from ddsim import (DiagonalSign, comparison_matrix, h_matrix_scaling,
                    is_h_matrix, is_hurwitz, is_m_matrix, is_metzler,
                    is_z_matrix, metzler_hurwitz_scaling)
-from ddsim.errors import PreconditionViolated
+from ddsim.errors import NumericallySingular, PreconditionViolated
 
 
 @pytest.mark.parametrize("a, z, metzler", [
@@ -103,10 +103,19 @@ def test_h_scaling_agrees_with_metzler_on_metzler_input():
     ([[1.0, 1.0], [0.0, 1.0]], metzler_hurwitz_scaling),   # not Hurwitz
     ([[-1.0, -1.0], [1.0, -1.0]], metzler_hurwitz_scaling),  # not Metzler
     ([[-1.0, 2.0], [-2.0, -1.0]], h_matrix_scaling),       # not an H-matrix
+    ([[3.0, 1.0], [1.0, 3.0]], h_matrix_scaling),          # an H-matrix, not Hurwitz
 ])
 def test_scaling_precondition_violations(a, scaling):
     with pytest.raises(PreconditionViolated):
         scaling(a)
+
+
+def test_metzler_scaling_refuses_a_numerically_singular_comparison_matrix():
+    # Hurwitz at tol 0 (eigenvalues about -1 +/- (1 - 5e-14)), but the
+    # comparison matrix [[1, -1], [-(1 - 1e-13), 1]] is singular to 1e-13
+    a = [[-1.0, 1.0], [1.0 - 1e-13, -1.0]]
+    with pytest.raises(NumericallySingular, match="comparison matrix is numerically singular"):
+        metzler_hurwitz_scaling(a, tol=0.0)
 
 
 def test_random_m_matrix_solves_positive():
