@@ -123,9 +123,23 @@ def _cases(structure: EigenStructure, tol: float, scale: float):
     return cases, Verdict.STRICT_ACHIEVABLE, zero_tol
 
 
+def _kept_cases(spectrum, tol: float):
+    """:func:`_cases` of a ``spectrum`` at ``tol``, kept on the spectrum for
+    the last ``tol`` asked, so ``classify`` and the builders decide once."""
+    kept = spectrum.cases
+    if kept is None or kept[0] != tol:
+        kept = spectrum.cases = tol, _cases(spectrum.structure(), tol, spectrum.scale)
+    return kept[1]
+
+
 def _classify_structure(structure: EigenStructure, tol: float,
                         scale: float) -> DDClassification:
-    cases, verdict, zero_tol = _cases(structure, tol, scale)
+    return _classification(structure, tol, _cases(structure, tol, scale))
+
+
+def _classification(structure: EigenStructure, tol: float, table) -> DDClassification:
+    """The verdict and evidence of ``structure`` from its case ``table``."""
+    cases, verdict, zero_tol = table
     evidence = []
     for e, case in cases:
         kind = case.partition("-")[0]
@@ -149,7 +163,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    return _classify_structure(spectrum.structure(), tol, spectrum.scale)
+    return _classification(spectrum.structure(), tol, _kept_cases(spectrum, tol))
 
 
 def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:

@@ -6,9 +6,11 @@ a prescribed fraction of its dominance slack.  This module picks only those
 weights; :func:`ddsim.spectral._assemble_jordan` writes the scaled matrix in
 one pass.  The complex path takes its chain basis from the complex chain
 vectors, so each rotation-like cell is diagonal and any nonsingular real
-matrix ends up strictly dominant in the magnitude sense.  Each certificate is
-verified once: every weight is >= 1 and the complex basis is a unitary image
-of the real one, so its residual ``||D U (P_J A - J P_J)||_F`` is never below
+matrix ends up strictly dominant in the magnitude sense.  That basis is a
+unitary image of the real one, so its inverse is the real inverse with each
+pair's rows mapped, and both paths share one basis test and one inversion.
+Each certificate is verified once, on its own: every weight is >= 1 and the
+map is unitary, so its residual ``||D U (P_J A - J P_J)||_F`` is never below
 the Jordan residual.
 """
 
@@ -17,11 +19,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
-from .classify import BORDERLINE_TOL, Verdict, _case, _cases
+from .classify import BORDERLINE_TOL, Verdict, _case, _kept_cases
 from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexPair, RealEigenvalue, RealJordanBlock,
@@ -109,14 +110,14 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
 
 def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
     """The certificate ``B = P A P^{-1}`` of ``A = spectrum.a``: ``P = diag(d) inv(Q)`` for
-    the chain basis ``Q`` and ``(d, B)`` from :func:`_scaled`, each chain at its cluster's
-    entry of ``slacks``; :class:`IllConditionedJordan` unless the residual is within
-    ``certificate_tol`` and ``B`` meets ``target`` (``miss_message`` for a miss)."""
+    the chain basis ``Q`` and ``(d, B)`` from :func:`_scaled`, each chain at the entry of
+    ``slacks`` of its cluster (``spectrum.chain_clusters``); :class:`IllConditionedJordan`
+    unless the residual is within ``certificate_tol`` and ``B`` meets ``target``
+    (``miss_message`` for a miss)."""
     blocks, p_j = spectrum.chain_inverse(diagonal_cells)
-    slacks = [s for s, c in zip(slacks, chain(*spectrum.clusters)) for _ in c.chains()]
+    slacks = [slacks[i] for i in spectrum.chain_clusters]
     d, b = _scaled(blocks, len(p_j), slacks, MARGIN_FRACTION, diagonal_cells)
-    # with diagonal cells P is complex also when every eigenvalue is real
-    p = np.multiply(d[:, None], p_j, dtype=b.dtype)
+    p = d[:, None] * p_j
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
     dominance = _dominance(b, Axis.ROW, target is Target.STRICT, 0.0)
     if not dominance.satisfied:
@@ -173,7 +174,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    cases, verdict, _ = _cases(spectrum.structure(), tol, spectrum.scale)
+    cases, verdict, _ = _kept_cases(spectrum, tol)
     allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
                Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
                                    Verdict.NON_STRICT_ONLY)}[target]
@@ -202,7 +203,7 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    cases, verdict, zero_tol = _cases(spectrum.structure(), tol, spectrum.scale)
+    cases, verdict, zero_tol = _kept_cases(spectrum, tol)
     if verdict is Verdict.OUT_OF_SCOPE_SINGULAR:
         raise SingularInput(f"an eigenvalue lies within {zero_tol:.3e} of zero")
 

@@ -8,8 +8,9 @@ similarity residual.
 
 Each thread keeps the spectrum of the matrix of its last spectral call
 (:func:`_spectrum`), so ``classify`` followed by the builders on one matrix
-pays for one spectral pass and one ``eig``; every call still validates its
-input and verifies its own output.
+pays for one spectral pass, one ``eig`` and one test and inversion of the
+real chain basis, whose unitary image is the complex one; every call still
+validates its input and verifies its own output.
 """
 
 from __future__ import annotations
@@ -324,7 +325,9 @@ class _Spectrum:
     Every spectral fact of ``a`` is derived from this single solve, and kept:
     :func:`_spectrum` hands the same object to each call on the same matrix,
     so ``scale``, the values, the clusters with their filtrations and chains,
-    and ``structure()`` are computed once per matrix, not once per call.  The
+    ``structure()``, the real chain basis with its inverse, and the case
+    table of the last ``tol`` are computed once per matrix, not once per
+    call.  The
     verdict, the eigen-structure and the Jordan basis all read the same
     values, and each simple cluster takes its vector from the same solve.
     ``scale`` is ``_scale(a)``, shared by every band and residual limit;
@@ -337,7 +340,9 @@ class _Spectrum:
         self.scale = _scale(a)
         self.tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
         self.values, self.vectors = np.linalg.eig(a)
-        self._clusters = self._structure = None
+        self._clusters = self._structure = self._basis = None
+        #: ``(tol, table)``: the case table :mod:`ddsim.classify` keeps for the last ``tol``
+        self.cases = None
 
     @property
     def clusters(self):
@@ -386,27 +391,29 @@ class _Spectrum:
         self._structure = EigenStructure(*map(tuple, found))
         return self._structure
 
-    def chain_inverse(self, diagonal_cells=False):
-        """``(blocks, inv(Q))`` for the basis ``Q`` of the clusters' Jordan
-        chains, once ``Q`` passes the singular-value ratio test.  A pair's
-        chain vector ``w`` gives the columns ``(Re w, Im w)``, or with
-        ``diagonal_cells`` the complex columns ``(w, conj(w)) / sqrt(2)``,
-        which turn each rotation cell into ``diag(alpha + beta j,
-        alpha - beta j)``."""
-        blocks = []
-        columns = []
-        for pairs, clusters in enumerate(self.clusters):
-            for cluster in clusters:
-                lam = cluster.rep
-                for chain in cluster.chains():
-                    if pairs:
-                        blocks.append(ComplexJordanBlock(lam.real, lam.imag, len(chain)))
-                        for w in chain:
-                            columns += ((w / _SQRT2, w.conj() / _SQRT2) if diagonal_cells
-                                        else (w.real, w.imag))
-                    else:
-                        blocks.append(RealJordanBlock(lam.real, len(chain)))
-                        columns += chain
+    def _chain_basis(self):
+        """``(blocks, inv(Q), owners)`` for the real basis ``Q`` of the
+        clusters' Jordan chains, once ``Q`` passes the singular-value ratio
+        test: a pair's chain vector ``w`` gives the columns ``(Re w, Im w)``,
+        and ``owners`` holds each chain's cluster index, real clusters first.
+        The multiplicities are checked first, by ``structure()``.  The kept
+        ``inv(Q)`` is read-only; a caller that hands it out copies it."""
+        if self._basis is not None:
+            return self._basis
+        self.structure()
+        real, pairs = self.clusters
+        blocks, columns, owners = [], [], []
+        for index, cluster in enumerate(real + pairs):
+            lam = cluster.rep
+            for chain in cluster.chains():
+                owners.append(index)
+                if index < len(real):
+                    blocks.append(RealJordanBlock(lam.real, len(chain)))
+                    columns += chain
+                else:
+                    blocks.append(ComplexJordanBlock(lam.real, lam.imag, len(chain)))
+                    for w in chain:
+                        columns += (w.real, w.imag)
 
         if len(columns) != self.a.shape[0]:
             raise IllConditionedJordan(
@@ -415,7 +422,34 @@ class _Spectrum:
         ratio = _singular_ratio(q)
         if ratio:
             raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
-        return tuple(blocks), np.linalg.inv(q)
+        inverse = np.linalg.inv(q)
+        inverse.flags.writeable = False
+        self._basis = tuple(blocks), inverse, tuple(owners)
+        return self._basis
+
+    @property
+    def chain_clusters(self):
+        """Each chain's cluster index, in block order, real clusters first."""
+        return self._chain_basis()[2]
+
+    def chain_inverse(self, diagonal_cells=False):
+        """``(blocks, inv(Q))`` for the kept real chain basis ``Q``, or with
+        ``diagonal_cells`` for the complex basis ``Q U`` whose pair columns
+        ``(w, conj(w)) / sqrt(2)`` turn each rotation cell into
+        ``diag(alpha + beta j, alpha - beta j)``.  ``U`` is unitary, so
+        ``Q U`` passes the ratio test exactly when ``Q`` does, and its
+        inverse ``U^H inv(Q)`` maps the rows ``(x, y)`` of each pair to
+        ``((x - y j) / sqrt(2), (x + y j) / sqrt(2))``; real rows come first."""
+        blocks, p, _ = self._chain_basis()
+        if not diagonal_cells:
+            return blocks, p
+        r = sum(b.size for b in blocks if isinstance(b, RealJordanBlock))
+        x, y = p[r::2] / _SQRT2, p[r + 1::2] / _SQRT2
+        out = p.astype(complex)
+        out.real[r::2] = out.real[r + 1::2] = x
+        out.imag[r::2] = -y
+        out.imag[r + 1::2] = y
+        return blocks, out
 
 
 _slot = threading.local()
@@ -518,5 +552,5 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     spectrum = _spectrum(as_matrix(a), cluster_tol)
     blocks, p = spectrum.chain_inverse()
     _, j = _assemble_jordan(blocks, len(p))
-    return RealJordanForm(J=j, P=p, blocks=blocks, residual=_checked_residual(
+    return RealJordanForm(J=j, P=p.copy(), blocks=blocks, residual=_checked_residual(
         spectrum.a, p, j, spectrum.scale, "Jordan"))

@@ -21,7 +21,7 @@ from _gen import chain_matrix, spectrum_matrix, well_conditioned
 from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
                    build_complex_dd_transform, build_real_dd_transform, certificate_tol,
                    classify, classify_2x2, eigen_structure, jordan_residual_tol,
-                   similarity_residual)
+                   real_jordan_form, similarity_residual)
 from ddsim.core import _scale
 from ddsim.errors import (ClusterAmbiguity, DdsimError, IllConditionedJordan, NotAchievable,
                           PreconditionViolated, SingularInput)
@@ -77,6 +77,47 @@ def test_eigenvector_path_matches_filtration(n):
         _, j = _assemble_jordan(blocks_eig, len(a))
         assert similarity_residual(a, p_eig, j) <= jordan_residual_tol(a)
         assert similarity_residual(a, p_filtration, j) <= jordan_residual_tol(a)
+
+
+def _direct_complex_basis(spectrum):
+    """The complex chain basis assembled column by column, as the complex
+    certificate once built it: a pair's chain vector ``w`` gives the columns
+    ``(w, conj(w)) / sqrt(2)``."""
+    columns = []
+    for pairs, clusters in enumerate(spectrum.clusters):
+        for cluster in clusters:
+            for chain in cluster.chains():
+                for w in chain:
+                    columns += (w / np.sqrt(2.0), w.conj() / np.sqrt(2.0)) if pairs else (w,)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("family, size", [
+    *(("spectrum", n) for n in (2, 4, 8, 12)),
+    *(("pair-chain", length) for length in (2, 3, 4))])
+def test_mapped_complex_inverse_matches_direct_inverse(family, size):
+    # the complex inverse is the real one with each pair's rows mapped by a
+    # unitary 2x2; it must agree with inverting the complex basis itself to
+    # within a few units of cond(Q) eps max|P|
+    rng = np.random.default_rng(500 + size)
+    checked = 0
+    for _ in range(10):
+        if family == "spectrum":
+            a, cluster_tol = spectrum_matrix(rng, size, dominant_pairs_only=False), CLUSTER_TOL
+        else:
+            # a looser tolerance keeps a chain of length 3 or 4 in one cluster
+            a, cluster_tol = chain_matrix(rng, "pair", size), 1e-4
+        spectrum = _Spectrum(as_matrix(a), cluster_tol)
+        try:
+            _, mapped = spectrum.chain_inverse(diagonal_cells=True)
+        except IllConditionedJordan:
+            continue
+        q = _direct_complex_basis(spectrum)
+        direct = np.linalg.inv(q)
+        bound = 8.0 * np.linalg.cond(q) * np.finfo(float).eps * np.abs(direct).max()
+        assert np.abs(mapped - direct).max() <= bound
+        checked += 1
+    assert checked > 0
 
 
 def _agreement_families():
@@ -209,7 +250,8 @@ def test_builders_refuse_inconsistent_multiplicities_as_classify_does(c):
     a = c * np.array([[-2.0, 1.0], [-1.0, -2.0]])
     message = (f"inconsistent multiplicities for eigenvalue {-2.0 * c:.6g}: "
                "geometric 0, algebraic 2")
-    for call in (classify, build_real_dd_transform, build_complex_dd_transform):
+    for call in (classify, build_real_dd_transform, build_complex_dd_transform,
+                 real_jordan_form):
         _forget()
         with pytest.raises(IllConditionedJordan, match=re.escape(message)):
             call(a)

@@ -296,24 +296,26 @@ def test_complex_build_bits_on_transformed_pair_chain():
     # a length-2 chain of the pair -1 +/- 2j, real verdict impossible
     a = [[2, 4, 3, -2], [-4, 0, -2, -1], [-3, -6, -4, 4], [-6, 1, -4, -2]]
     cert = build_complex_dd_transform(a)
+    # each pair's rows of P are (x - y j, x + y j) / sqrt 2 for its rows
+    # (x, y) of the real chain inverse, so they are conjugates bit for bit
     assert _hex(cert.P.real) == [
-        "-0x1.d7cb5596c680bp-1 0x1.4a1a6c8e38da2p+1 0x1.2d759f3c450dcp-3 "
-        "-0x1.3743129a7487fp+0",
-        "-0x1.d7cb5596c6810p-1 0x1.4a1a6c8e38da1p+1 0x1.2d759f3c450b4p-3 "
-        "-0x1.3743129a7487fp+0",
-        "-0x1.11945eb2ebe11p+1 -0x1.5cf1c681fd2cap+1 -0x1.11945eb2ebe1ap+1 "
-        "0x1.5cf1c681fd2d2p+1",
-        "-0x1.11945eb2ebe11p+1 -0x1.5cf1c681fd2cep+1 -0x1.11945eb2ebe1ap+1 "
-        "0x1.5cf1c681fd2d5p+1"]
+        "-0x1.d7cb5596c6809p-1 0x1.4a1a6c8e38da1p+1 0x1.2d759f3c450d3p-3 "
+        "-0x1.3743129a7487bp+0",
+        "-0x1.d7cb5596c6809p-1 0x1.4a1a6c8e38da1p+1 0x1.2d759f3c450d3p-3 "
+        "-0x1.3743129a7487bp+0",
+        "-0x1.11945eb2ebe10p+1 -0x1.5cf1c681fd2cbp+1 -0x1.11945eb2ebe1bp+1 "
+        "0x1.5cf1c681fd2d1p+1",
+        "-0x1.11945eb2ebe10p+1 -0x1.5cf1c681fd2cbp+1 -0x1.11945eb2ebe1bp+1 "
+        "0x1.5cf1c681fd2d1p+1"]
     assert _hex(cert.P.imag) == [
-        "0x1.4a1a6c8e38da6p+1 0x1.d7cb5596c673ap-1 0x1.3743129a74871p+0 "
-        "0x1.2d759f3c45498p-3",
-        "-0x1.4a1a6c8e38da8p+1 -0x1.d7cb5596c672ap-1 -0x1.3743129a74876p+0 "
-        "-0x1.2d759f3c454bap-3",
-        "0x1.5cf1c681fd2e8p+1 -0x1.11945eb2ebe36p+1 0x1.5cf1c681fd2d8p+1 "
-        "0x1.11945eb2ebe32p+1",
-        "-0x1.5cf1c681fd2e7p+1 0x1.11945eb2ebe36p+1 -0x1.5cf1c681fd2d6p+1 "
-        "-0x1.11945eb2ebe32p+1"]
+        "0x1.4a1a6c8e38da6p+1 0x1.d7cb5596c672fp-1 0x1.3743129a74876p+0 "
+        "0x1.2d759f3c454a3p-3",
+        "-0x1.4a1a6c8e38da6p+1 -0x1.d7cb5596c672fp-1 -0x1.3743129a74876p+0 "
+        "-0x1.2d759f3c454a3p-3",
+        "0x1.5cf1c681fd2e7p+1 -0x1.11945eb2ebe34p+1 0x1.5cf1c681fd2d6p+1 "
+        "0x1.11945eb2ebe2fp+1",
+        "-0x1.5cf1c681fd2e7p+1 0x1.11945eb2ebe34p+1 -0x1.5cf1c681fd2d6p+1 "
+        "-0x1.11945eb2ebe2fp+1"]
     # the basis columns (w, conj w) / sqrt 2 are i / sqrt 2 times the cell
     # map's (-i w, -i conj w), so every pair row of P is -i sqrt 2 times its
     # row under the cell map; B is the same canonical matrix either way

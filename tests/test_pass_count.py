@@ -4,8 +4,9 @@ helpers.
 From an empty spectrum slot (an autouse fixture empties it before each
 test), each public call makes one spectral pass and takes one ``||A||_F``.
 On one matrix, ``classify`` followed by both builders shares one pass: one
-``eig`` (and no ``eigvals``), one scale, and each filtration SVD once, while
-each build still verifies its own certificate.  Each certificate build and each
+``eig`` (and no ``eigvals``), one scale, each filtration SVD once, one case
+table and one real chain basis, tested and inverted once, while each build
+still verifies its own certificate.  Each certificate build and each
 structure test or scaling validates ``A`` once, and only ``classify`` builds
 evidence."""
 
@@ -30,8 +31,9 @@ from ddsim.classify import _cases, _classify_structure
 from ddsim.cli import main as cli_main
 from ddsim.errors import IllConditionedJordan
 
-#: SVDs that verify a real or complex certificate: the chain basis
-#: singular-value ratio and the singularity test of the certificate residual.
+#: SVDs that verify a real or complex certificate from an empty slot: the
+#: chain basis singular-value ratio and the singularity test of the
+#: certificate residual.  A second build on the same matrix reuses the basis.
 VERIFICATION_SVDS = 2
 
 
@@ -44,11 +46,14 @@ def empty_slot():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counter of eigen-solves and SVDs; a 2-norm counts as one SVD."""
+    """Counter of eigen-solves, SVDs and inverses; a 2-norm counts as one
+    SVD, and an inverse of a complex matrix also counts as "complex inv"."""
     calls = Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
+            if name == "inv" and np.iscomplexobj(args[0]):
+                calls["complex inv"] += 1
             if name != "norm":
                 calls[name] += 1
             elif kwargs.get("ord", args[1] if len(args) > 1 else None) in (2, -2, "nuc"):
@@ -56,7 +61,7 @@ def linalg_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eig", "eigvals", "svd", "norm"):
+    for name in ("eig", "eigvals", "svd", "norm", "inv"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
@@ -110,6 +115,8 @@ def test_complex_build_is_one_eigen_solve(separated8, linalg_calls):
     build_complex_dd_transform(separated8)
     assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
     assert linalg_calls["svd"] == VERIFICATION_SVDS
+    # the complex basis is a unitary image of the real one: one real inverse
+    assert (linalg_calls["inv"], linalg_calls["complex inv"]) == (1, 0)
 
 
 def test_cli_classify_is_one_eigen_solve(tmp_path, capsys, separated8, linalg_calls):
@@ -152,7 +159,9 @@ def test_classify_then_both_builds_share_one_pass(separated8, linalg_calls, frob
     assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
     # one scale, and the numerator of each certificate residual
     assert frobenius_calls["frobenius"] == 1 + 2
-    assert linalg_calls["svd"] == 2 * VERIFICATION_SVDS
+    # one basis ratio test, and the singularity test of each certificate
+    assert linalg_calls["svd"] == 1 + 2
+    assert linalg_calls["inv"] == 1
 
 
 @pytest.mark.parametrize("kind, length", [
@@ -278,10 +287,14 @@ def test_case_table_and_evidence_give_one_verdict(names):
     lambda a: build_real_dd_transform(a, Target.STRICT),
     build_complex_dd_transform,
     lambda a: scale_jordan_to_dd(real_jordan_form(a)),
-], ids=["classify", "build_real", "build_complex", "scale_jordan_to_dd"])
+    lambda a: (classify(a), build_real_dd_transform(a, Target.STRICT),
+               build_complex_dd_transform(a)),
+], ids=["classify", "build_real", "build_complex", "scale_jordan_to_dd",
+        "classify_then_builds"])
 def test_borderline_band_is_tested_once_per_pair(monkeypatch, call):
     # each call decides each pair's case once, and the builders read it;
-    # every module that holds the band test counts through it
+    # calls on one matrix share the case table the spectrum keeps; every
+    # module that holds the band test counts through it
     calls = Counter()
     is_borderline = ddsim.is_borderline
 

@@ -14,6 +14,8 @@ from _gen import chain_matrix, spectrum_matrix
 from ddsim import (CLUSTER_TOL, Target, build_complex_dd_transform, build_real_dd_transform,
                    classify, eigen_structure, real_jordan_form)
 import ddsim.spectral
+from ddsim.core import as_matrix
+from ddsim.errors import IllConditionedJordan
 from ddsim.spectral import _forget, _Spectrum
 from test_agreement import _end, _straddling_clusters
 
@@ -180,3 +182,28 @@ def test_chains_are_built_once():
     a = chain_matrix(np.random.default_rng(8), "pair", 3)
     (cluster,) = _Spectrum(a, 1e-4).clusters[1]
     assert cluster.chains() is cluster.chains()
+
+
+def test_refused_basis_is_not_kept():
+    # the basis ratio test refuses; the next call builds the basis again
+    # and refuses it the same way
+    a = 1e160 * np.array([[-2.0, 1.0], [0.0, -2.0]])
+    spectrum = _Spectrum(as_matrix(a), CLUSTER_TOL)
+    ends = []
+    for _ in range(2):
+        with pytest.raises(IllConditionedJordan,
+                           match="Jordan basis is numerically singular") as refusal:
+            spectrum.chain_inverse()
+        assert spectrum._basis is None
+        ends.append(str(refusal.value))
+    assert ends[0] == ends[1]
+
+
+def test_returned_jordan_basis_is_not_the_kept_one():
+    # real_jordan_form hands out a copy of the kept inverse, so writing into
+    # it changes no later certificate
+    a = spectrum_matrix(np.random.default_rng(9), 6, require_pair=True)
+    cold = _end(build_complex_dd_transform, a)
+    _forget()
+    real_jordan_form(a).P[:] = 0.0
+    assert _end(build_complex_dd_transform, a) == cold
