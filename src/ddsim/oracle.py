@@ -166,22 +166,48 @@ def _batch_margins(b_stack):
                       _fold(np.minimum, diag - (cols - diag)))
 
 
+def _inverses(batch):
+    """The inverse of each matrix in a stack.
+
+    A 2x2 inverse is its adjugate over its determinant ``a d - b c``, taken
+    across the whole stack: one LAPACK call per matrix costs more than that
+    arithmetic.  The adjugate is exact and the determinant's relative error
+    is at most about ``u * cond_F(P)``, with ``cond_F(P) = ||P||_F^2 / |det P|``
+    the screen's Frobenius bound, so each entry is within about
+    ``(cond_F + 2) u`` of the exact one.  An exactly singular 2x2 gets
+    non-finite entries, not an error.  Larger matrices have no
+    forward-stable closed form and go to ``np.linalg.inv``, which raises
+    ``LinAlgError`` on an exactly singular one.
+    """
+    if batch.shape[1] != 2:
+        return np.linalg.inv(batch)
+    a, b, c, d = (batch[:, i, j] for i in (0, 1) for j in (0, 1))
+    inverse = np.empty_like(batch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = a * d - b * c
+        np.divide(d, det, out=inverse[:, 0, 0])
+        np.divide(-b, det, out=inverse[:, 0, 1])
+        np.divide(-c, det, out=inverse[:, 1, 0])
+        np.divide(a, det, out=inverse[:, 1, 1])
+    return inverse
+
+
 def _screened(batch):
     """The candidates of ``batch`` with condition number at most ``COND_LIMIT``,
     and their inverses.
 
-    One batched inverse serves both the screen and the search:
-    ``||P||_F * ||P^{-1}||_F`` is never below ``cond_2(P)``, so a candidate
-    whose bound is at most half the limit passes without an SVD.  Only the
-    rest, and a bound that is not finite, get ``np.linalg.cond``.  The
-    factor 2 exceeds the rounding error of the bound and of the SVD's
-    condition number (about ``cond * eps`` relative), so the kept set is the
-    one ``np.linalg.cond`` alone would keep.
+    One batched inverse (``_inverses``) serves both the screen and the
+    search: ``||P||_F * ||P^{-1}||_F`` is never below ``cond_2(P)``, so a
+    candidate whose bound is at most half the limit passes without an SVD.
+    Only the rest, and a bound that is not finite (an exactly singular 2x2),
+    get ``np.linalg.cond``.  The factor 2 exceeds the rounding error of the
+    bound and of the SVD's condition number (about ``cond * eps`` relative),
+    so the kept set is the one ``np.linalg.cond`` alone would keep.
     """
     try:
-        inverse = np.linalg.inv(batch)
+        inverse = _inverses(batch)
     except np.linalg.LinAlgError:
-        # an exactly singular candidate: screen every one by its SVD first
+        # an exactly singular n >= 3 candidate: screen every one by its SVD first
         conds = np.linalg.cond(batch)
         batch = batch[np.isfinite(conds) & (conds <= COND_LIMIT)]
         return batch, np.linalg.inv(batch)
@@ -202,10 +228,12 @@ def random_similarity_search(a, trials: int = 1000, seed: int = 0,
 
     The identity is always the first candidate; the rest have standard
     normal entries, rejected (not counted) when the condition number
-    exceeds ``COND_LIMIT``.  Each drawn candidate is inverted once, and
-    the Frobenius bound ``||P||_F * ||P^{-1}||_F >= cond_2(P)`` screens it;
-    only a candidate whose bound exceeds ``COND_LIMIT / 2`` pays for an
-    exact condition number (one SVD).  A candidate qualifies when
+    exceeds ``COND_LIMIT``.  Each drawn candidate is inverted once, in its
+    batch: a 2x2 as its adjugate over its determinant, a larger one by
+    LAPACK.  The Frobenius bound ``||P||_F * ||P^{-1}||_F >= cond_2(P)``
+    screens it; only a candidate whose bound exceeds ``COND_LIMIT / 2`` or
+    is not finite (an exactly singular 2x2) pays for an exact condition
+    number (one SVD).  A candidate qualifies when
     ``P A P^{-1}`` is diagonally dominant on either axis.
 
     ``seed`` must be an integer >= 0 (numpy integers included); the

@@ -6,6 +6,8 @@ a function of the input values alone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 VIEW = 800
@@ -20,19 +22,33 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
+def _frame(centres, radii, re, im):
+    """``(x_mid, y_mid, span)`` of the padded square that holds the origin,
+    every disc and every eigenvalue ``re + i im``."""
+    xs = [0.0] + [c - r for c, r in zip(centres, radii)] + [
+        c + r for c, r in zip(centres, radii)] + re
+    ys = [0.0] + [-r for r in radii] + radii + im
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    return ((max(xs) + min(xs)) / 2.0, (max(ys) + min(ys)) / 2.0,
+            span * (1.0 + 2.0 * PAD_FRACTION))
+
+
 def render_gershgorin(discs, eigenvalues, size: int = VIEW) -> str:
     """SVG document with one circle per disc, an x-cross per eigenvalue and a
-    plus-cross at the origin, framed to fit everything with 10% padding."""
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    xs = [0.0] + [d.center - d.radius for d in discs] + [d.center + d.radius for d in discs]
-    ys = [0.0] + [-d.radius for d in discs] + [d.radius for d in discs]
-    xs += list(eigenvalues.real)
-    ys += list(eigenvalues.imag)
+    plus-cross at the origin, framed to fit everything with 10% padding.
 
-    x_mid = (max(xs) + min(xs)) / 2.0
-    y_mid = (max(ys) + min(ys)) / 2.0
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-    span *= 1.0 + 2.0 * PAD_FRACTION
+    When the frame overflows (entries near the float limit), everything is
+    framed and drawn divided by one power of two, which moves no pixel."""
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    values = ([d.center for d in discs], [d.radius for d in discs],
+              eigenvalues.real.tolist(), eigenvalues.imag.tolist())
+    frame = _frame(*values)
+    if not all(map(math.isfinite, frame)):
+        _, exp = math.frexp(max(abs(v) for part in values for v in part))
+        values = tuple([math.ldexp(v, -exp) for v in part] for part in values)
+        frame = _frame(*values)
+    centres, radii, re, im = values
+    x_mid, y_mid, span = frame
     scale = size / span
 
     def to_px(x, y):
@@ -44,10 +60,10 @@ def render_gershgorin(discs, eigenvalues, size: int = VIEW) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for d in discs:
-        cx, cy = to_px(d.center, 0.0)
+    for c, r in zip(centres, radii):
+        cx, cy = to_px(c, 0.0)
         parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(d.radius * scale)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r * scale)}" '
             f'{_DISC_STYLE}/>')
     ox, oy = to_px(0.0, 0.0)
     arm = size * 0.015
@@ -55,8 +71,8 @@ def render_gershgorin(discs, eigenvalues, size: int = VIEW) -> str:
                  f'x2="{_fmt(ox + arm)}" y2="{_fmt(oy)}" {_ORIGIN_STYLE}/>')
     parts.append(f'<line x1="{_fmt(ox)}" y1="{_fmt(oy - arm)}" '
                  f'x2="{_fmt(ox)}" y2="{_fmt(oy + arm)}" {_ORIGIN_STYLE}/>')
-    for lam in eigenvalues:
-        px, py = to_px(lam.real, lam.imag)
+    for x, y in zip(re, im):
+        px, py = to_px(x, y)
         parts.append(f'<line x1="{_fmt(px - arm)}" y1="{_fmt(py - arm)}" '
                      f'x2="{_fmt(px + arm)}" y2="{_fmt(py + arm)}" {_EIG_STYLE}/>')
         parts.append(f'<line x1="{_fmt(px - arm)}" y1="{_fmt(py + arm)}" '

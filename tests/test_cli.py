@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,22 @@ def test_gershgorin_triangular(tmp_path, capsys):
                               "--out", str(out_path)])
     assert code == 0
     assert out_path.read_text().count("<circle") == 2
+
+
+def test_gershgorin_near_the_float_limit(tmp_path, capsys):
+    # the frame spans x from -1e308 to 2e308, which overflows; drawn from the
+    # values divided by a power of two, every pixel is where it belongs
+    path = write_json(tmp_path, "a.json", [[1e308, 1e308], [0, -1e308]])
+    out_path = tmp_path / "discs.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["gershgorin", "--input", path,
+                                      "--out", str(out_path)])
+    assert (code, err) == (0, "")
+    svg = out_path.read_text()
+    assert svg.count("<circle") == 2
+    assert "nan" not in svg and "inf" not in svg
+    assert 'r="222.2222"' in svg  # radius 1e308 at scale 800 / (3e308 * 1.2)
 
 
 def test_special_m_scale(tmp_path, capsys):

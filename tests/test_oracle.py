@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -379,38 +380,61 @@ def test_screen_keeps_what_the_condition_number_keeps(monkeypatch, limit, n):
 
     kept, inverse = ddsim.oracle._screened(batch)
     assert kept.tobytes() == expected.tobytes()
-    assert inverse.tobytes() == np.linalg.inv(expected).tobytes()
+    if n > 2:
+        assert inverse.tobytes() == np.linalg.inv(expected).tobytes()
+        return
+    # a 2x2 inverse is the adjugate over the determinant: each entry within
+    # (cond_F + 2) * 2^-52 of the exact inverse, relative, where
+    # cond_F = ||P||_F^2 / |det P| is the screen's bound at n = 2
+    for p, p_inv in zip(kept, inverse):
+        a, b, c, d = map(Fraction, p.ravel().tolist())
+        det = a * d - b * c
+        cond_f = (a * a + b * b + c * c + d * d) / abs(det)
+        exact = [d / det, -b / det, -c / det, a / det]
+        for got, want in zip(map(Fraction, p_inv.ravel().tolist()), exact):
+            assert abs(got - want) <= (cond_f + 2) * Fraction(1, 2 ** 52) * abs(want)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=np.linalg):
     rows = []
-    wrapped = getattr(np.linalg, name)
+    wrapped = getattr(module, name)
 
     def counting(batch, *args, **kwargs):
         rows.append(len(batch) if np.ndim(batch) == 3 else None)
         return wrapped(batch, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return rows
 
 
 @pytest.mark.parametrize("trials", [2000, 5000])
 def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
+    kernel = _counting(monkeypatch, "_inverses", ddsim.oracle)
     inverted = _counting(monkeypatch, "inv")
     conditioned = _counting(monkeypatch, "cond")
     res = random_similarity_search(np.array(_ROT), trials=trials, seed=1)
     assert res.samples == trials
     # every drawn candidate is inverted once, in its batch; the identity is
     # examined without an inverse
-    assert None not in inverted
-    assert sum(inverted) == trials - 1
-    assert max(inverted) <= ddsim.oracle._BATCH
+    assert None not in kernel
+    assert sum(kernel) == trials - 1
+    assert max(kernel) <= ddsim.oracle._BATCH
+    # a 2x2 batch is inverted in closed form, with no LAPACK call
+    assert inverted == []
     # every bound of this stream is within COND_LIMIT / 2: no SVD is paid
     assert conditioned == []
+    # from 3x3, each batch is one np.linalg.inv
+    kernel.clear()
+    res = random_similarity_search(np.array(_PAIR_3), trials=trials, seed=1)
+    assert res.samples == trials
+    assert sum(kernel) == trials - 1
+    assert inverted == kernel
 
 
 def test_search_screens_by_svd_when_a_batch_will_not_invert(monkeypatch):
-    expected = random_similarity_search(np.array(_ROT), trials=5000, seed=1)
+    # a 2x2 batch never raises (a singular draw gets a non-finite inverse),
+    # so the failing batch is 3x3
+    expected = random_similarity_search(np.array(_PAIR_3), trials=5000, seed=1)
     inv = np.linalg.inv
     calls = []
 
@@ -422,12 +446,75 @@ def test_search_screens_by_svd_when_a_batch_will_not_invert(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", singular_once)
     conditioned = _counting(monkeypatch, "cond")
-    res = random_similarity_search(np.array(_ROT), trials=5000, seed=1)
+    res = random_similarity_search(np.array(_PAIR_3), trials=5000, seed=1)
     assert (res.found, res.best_margin, res.samples) == (
         expected.found, expected.best_margin, expected.samples)
     # the failed batch is condition-checked, then its kept candidates inverted
     assert conditioned == [ddsim.oracle._BATCH]
     assert calls[:2] == [ddsim.oracle._BATCH, ddsim.oracle._BATCH]
+
+
+def test_screen_conditions_only_the_singular_2x2_draws(monkeypatch):
+    rng = np.random.default_rng(17)
+    batch = np.concatenate([rng.standard_normal((200, 2, 2)),
+                            [[[1.0, 2.0], [2.0, 4.0]]], np.zeros((1, 2, 2)),
+                            rng.standard_normal((200, 2, 2))])
+    conds = np.linalg.cond(batch)
+    expected = batch[np.isfinite(conds) & (conds <= ddsim.oracle.COND_LIMIT)]
+    assert len(expected) == len(batch) - 2
+    conditioned = _counting(monkeypatch, "cond")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept, _ = ddsim.oracle._screened(batch)
+    assert kept.tobytes() == expected.tobytes()
+    # the two singular draws have non-finite bounds and pay one SVD each
+    assert conditioned == [2]
+
+
+def _lapack_screened(batch):
+    """``_screened`` with every candidate inverted by ``np.linalg.inv``, as
+    before 2x2 batches were inverted in closed form: the reference the
+    closed form must match."""
+    try:
+        inverse = np.linalg.inv(batch)
+    except np.linalg.LinAlgError:
+        conds = np.linalg.cond(batch)
+        batch = batch[np.isfinite(conds) & (conds <= ddsim.oracle.COND_LIMIT)]
+        return batch, np.linalg.inv(batch)
+    bound = np.sqrt(np.einsum("bij,bij->b", batch, batch)
+                    * np.einsum("bij,bij->b", inverse, inverse))
+    doubtful = np.flatnonzero(~(bound <= 0.5 * ddsim.oracle.COND_LIMIT))
+    if not doubtful.size:
+        return batch, inverse
+    conds = np.linalg.cond(batch[doubtful])
+    keep = np.ones(len(batch), dtype=bool)
+    keep[doubtful] = np.isfinite(conds) & (conds <= ddsim.oracle.COND_LIMIT)
+    return batch[keep], inverse[keep]
+
+
+@st.composite
+def _rotation_like(draw):
+    """``Q [[alpha, beta], [-beta, alpha]] Q^{-1}`` and search arguments."""
+    alpha = draw(st.floats(-3.0, 3.0))
+    beta = draw(st.floats(0.05, 3.0))
+    q = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((2, 2))
+    a = q @ np.array([[alpha, beta], [-beta, alpha]]) @ np.linalg.inv(q)
+    return a, {"trials": draw(st.integers(1, 5000)), "seed": draw(st.integers(0, 2 ** 16)),
+               "strict": draw(st.booleans())}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rotation_like())
+def test_closed_form_search_matches_the_lapack_search(case):
+    a, kwargs = case
+    res = random_similarity_search(a, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddsim.oracle, "_screened", _lapack_screened)
+        ref = random_similarity_search(a, **kwargs)
+    assert (res.found, res.samples) == (ref.found, ref.samples)
+    assert (None if res.witness is None else res.witness.tobytes()) == (
+        None if ref.witness is None else ref.witness.tobytes())
+    assert abs(res.best_margin - ref.best_margin) <= 1e-13 * (1.0 + np.linalg.norm(a))
 
 
 @pytest.mark.parametrize("bad", [
