@@ -214,7 +214,13 @@ def _cmd_gershgorin(a, args):
         print("gershgorin requires --out SVG_PATH", file=sys.stderr)
         return None, None, 1
     axis = Axis.ROW if args.axis == "row" else Axis.COLUMN
-    return None, render_gershgorin(gershgorin_discs(a, axis), np.linalg.eigvals(a)), 0
+    with np.errstate(over="ignore"):
+        discs, eigenvalues = gershgorin_discs(a, axis), np.linalg.eigvals(a)
+    if not (np.isfinite([d.radius for d in discs]).all() and np.isfinite(eigenvalues).all()):
+        # drawn from a divided by a power of two, which moves no pixel
+        a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])
+        discs, eigenvalues = gershgorin_discs(a, axis), np.linalg.eigvals(a)
+    return None, render_gershgorin(discs, eigenvalues), 0
 
 
 def main(argv=None) -> int:

@@ -128,24 +128,22 @@ class RealJordanForm:
 
 
 def _nullspace(m, extra_tol=0.0):
-    """Orthonormal nullspace basis of ``m`` with a combined sv threshold."""
-    u, s, vh = np.linalg.svd(m)
-    thresh = max(RANK_RTOL * s[0], extra_tol)
-    nullity = int(np.sum(s <= thresh))
-    if nullity == 0:
-        return np.zeros((m.shape[0], 0), dtype=m.dtype)
-    return vh[len(s) - nullity:].conj().T
+    """Orthonormal nullspace basis of ``m`` at a combined sv threshold, and ``||m||_2``."""
+    _, s, vh = np.linalg.svd(m)
+    nullity = int(np.sum(s <= max(RANK_RTOL * s[0], extra_tol)))
+    return vh[len(s) - nullity:].conj().T, float(s[0])
 
 
 class _Cluster:
     """One eigenvalue cluster and the nullspace filtration of ``m = a - rep I``.
 
     The filtration (over the complex field for conjugate pairs) is taken one
-    power at a time, only as far as a caller needs it, and kept with the
-    chains built from it.  A simple cluster needs none of it: its geometric
-    multiplicity is 1, and ``vector`` holds the unit eigenvector ``eig``
-    returned for it.  Lazy state changes only when a step succeeds, so a
-    step that raises leaves the cluster as it was.
+    power at a time, one SVD each, only as far as a caller needs it, and kept
+    with the chains built from it; the first SVD gives ``sig = ||m||_2``.  A
+    simple cluster needs none of it: its geometric multiplicity is 1, and
+    ``vector`` holds the unit eigenvector ``eig`` returned for it.  Lazy
+    state changes only when a step succeeds, so a step that raises leaves
+    the cluster as it was.
     """
 
     def __init__(self, a, members, mean, complex_field, vector=None):
@@ -163,26 +161,25 @@ class _Cluster:
 
     def _grow(self):
         """Append a nullspace basis of the next power of ``m``."""
-        n = self.a.shape[0]
-        if self.bases:
-            m, power, sig, first = self.m, self.power, self.sig, []
-        else:
-            power = np.eye(n, dtype=self.dtype)
-            m, sig = self.a.astype(self.dtype) - self.lam * power, None
-            first = [np.zeros((n, 0), dtype=self.dtype)]
         k = len(self.bases) or 1
-        if k == 2:
-            sig = float(np.linalg.norm(m, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ m
-            # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
-            growth = np.float64(max(1.0, sig)) ** (k - 1) if k > 1 else 1.0
+        if self.bases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = self.power @ self.m
+                # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
+                growth = np.float64(max(1.0, self.sig)) ** (k - 1)
+        else:
+            # + 0.0 turns -0.0 into 0.0, whose sign LAPACK can pass on to a basis vector
+            eye = np.eye(len(self.a), dtype=self.dtype)
+            power, growth = self.a.astype(self.dtype) - self.lam * eye + 0.0, 1.0
         if not (growth < np.inf and np.isfinite(power).all()):
             raise IllConditionedJordan(
                 f"power {k} of A - lambda I overflows near eigenvalue {self.lam:.6g}")
-        basis = _nullspace(power, 2.0 * k * self.radius * growth)
-        self.m, self.power, self.sig = m, power, sig
-        self.bases += first + [basis]
+        basis, sig = _nullspace(power, 2.0 * k * self.radius * growth)
+        if not self.bases:
+            self.m, self.sig = power, sig
+            self.bases.append(basis[:, :0])  # ker(m^0) = {0}
+        self.power = power
+        self.bases.append(basis)
 
     @property
     def geo_mult(self) -> int:
@@ -255,11 +252,7 @@ class _Cluster:
                 for _ in range(k - 1):
                     vs.append(m @ vs[-1])
                 vs.reverse()
-                # from about 1e154 a vector's squared norm overflows, not its norm
-                with np.errstate(over="ignore"):
-                    norm_max = max(float(np.linalg.norm(v)) for v in vs)
-                if norm_max == np.inf:
-                    norm_max = max(map(_frobenius, vs))
+                norm_max = max(map(_frobenius, vs))
                 chains.append([v / norm_max for v in vs])
         self._chains = chains
         return chains

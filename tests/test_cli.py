@@ -185,10 +185,22 @@ def test_gershgorin_triangular(tmp_path, capsys):
     assert out_path.read_text().count("<circle") == 2
 
 
-def test_gershgorin_near_the_float_limit(tmp_path, capsys):
-    # the frame spans x from -1e308 to 2e308, which overflows; drawn from the
-    # values divided by a power of two, every pixel is where it belongs
-    path = write_json(tmp_path, "a.json", [[1e308, 1e308], [0, -1e308]])
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("rows, circles, radius", [
+    # the frame spans x from -1e308 to 2e308, which overflows: radius 1e308
+    # at scale 800 / (3e308 * 1.2)
+    ([[1e308, 1e308], [0, -1e308]], 2, "222.2222"),
+    # the first disc's radius overflows, and the frame spans 2 * 2e308
+    ([[0, 1e308, 1e308], [0, 0, 0], [0, 0, 0]], 3, "333.3333"),
+    # eigvals gives the eigenvalues M * (1 +/- j) infinite imaginary parts
+    ([[_FLOAT_MAX, _FLOAT_MAX], [-_FLOAT_MAX, _FLOAT_MAX]], 2, "333.3333"),
+], ids=["frame", "radius", "eigenvalues"])
+def test_gershgorin_near_the_float_limit(tmp_path, capsys, rows, circles, radius):
+    # drawn from the values divided by a power of two, every pixel is where
+    # it belongs
+    path = write_json(tmp_path, "a.json", rows)
     out_path = tmp_path / "discs.svg"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -196,9 +208,9 @@ def test_gershgorin_near_the_float_limit(tmp_path, capsys):
                                       "--out", str(out_path)])
     assert (code, err) == (0, "")
     svg = out_path.read_text()
-    assert svg.count("<circle") == 2
+    assert svg.count("<circle") == circles
     assert "nan" not in svg and "inf" not in svg
-    assert 'r="222.2222"' in svg  # radius 1e308 at scale 800 / (3e308 * 1.2)
+    assert f'r="{radius}"' in svg
 
 
 def test_special_m_scale(tmp_path, capsys):

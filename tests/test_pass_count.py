@@ -46,8 +46,9 @@ def empty_slot():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counter of eigen-solves, SVDs and inverses; a 2-norm counts as one
-    SVD, and an inverse of a complex matrix also counts as "complex inv"."""
+    """Counter of eigen-solves, SVDs and inverses; a norm that takes an SVD
+    (the 2-norm) counts as one SVD and also as "norm svd", and an inverse of
+    a complex matrix also counts as "complex inv"."""
     calls = Counter()
 
     def counting(name, fn):
@@ -58,6 +59,7 @@ def linalg_calls(monkeypatch):
                 calls[name] += 1
             elif kwargs.get("ord", args[1] if len(args) > 1 else None) in (2, -2, "nuc"):
                 calls["svd"] += 1
+                calls["norm svd"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -186,6 +188,16 @@ def test_each_filtration_svd_runs_once_across_the_calls(monkeypatch, kind, lengt
     _classify_then_build(a, 1e-4)
     assert powers.keys() == separate.keys()
     assert set(powers.values()) == {1}
+
+
+@pytest.mark.parametrize("kind, length", [
+    (kind, length) for kind in ("real", "pair") for length in (2, 3, 4)])
+def test_filtration_takes_no_norm_svd(linalg_calls, kind, length):
+    # the first power's SVD gives ||A - lambda I||_2 for every later cut
+    a = chain_matrix(np.random.default_rng(length), kind, length)
+    _classify_then_build(a, 1e-4)
+    assert linalg_calls["svd"] > 0
+    assert linalg_calls["norm svd"] == 0
 
 
 @pytest.mark.parametrize("build", [

@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _gen import spectrum_matrix, well_conditioned
+from _gen import chain_matrix, spectrum_matrix, well_conditioned
 from ddsim import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock, eigen_structure,
                    jordan_residual_tol, real_jordan_form, similarity_residual)
 from ddsim.core import _diag_similarity, _scale
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
-from ddsim.spectral import (AMBIGUITY_FACTOR, _assemble_jordan, _checked_residual, _group,
-                            _Spectrum)
+from ddsim.spectral import (AMBIGUITY_FACTOR, RANK_RTOL, _assemble_jordan, _checked_residual,
+                            _group, _Spectrum)
 
 
 def test_eigen_structure_triangular():
@@ -156,6 +157,34 @@ def test_chains_come_longest_first_as_built(case, reverse):
     assert [len(chain) for chain in cluster.chains()] == lengths
     assert [b.size if isinstance(b, RealJordanBlock) else b.chain_length
             for b in real_jordan_form(a).blocks] == lengths
+
+
+def test_first_svd_norm_moves_no_nullity():
+    # the filtration scales its power-2 cut by sig, the largest singular
+    # value of its power-1 SVD, not by a separate ||m||_2; the two agree to
+    # within the band, and no singular value of m^2 lies within the band of
+    # the cut, so taking either gives the same nullity
+    band = 8 * np.finfo(float).eps
+    steps = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        kind, length = ("real", "pair")[seed % 2], 2 + seed // 2 % 3
+        a = chain_matrix(rng, kind, length)
+        with contextlib.suppress(ClusterAmbiguity):
+            clusters = _Spectrum(a, (CLUSTER_TOL, 1e-4)[seed // 6 % 2]).clusters
+            for cluster in clusters[0] + clusters[1]:
+                if cluster.alg_mult == 1:
+                    continue
+                with contextlib.suppress(IllConditionedJordan):
+                    cluster.chains()
+                norm = np.linalg.norm(cluster.m, 2)
+                assert abs(cluster.sig - norm) <= band * norm
+                if len(cluster.bases) > 2:
+                    steps += 1
+                    sv = np.linalg.svd(cluster.m @ cluster.m, compute_uv=False)
+                    cut = max(RANK_RTOL * sv[0], 4.0 * cluster.radius * max(1.0, cluster.sig))
+                    assert (np.abs(sv - cut) > band * cut).all()
+    assert steps >= 100
 
 
 def test_jordan_random_recovery_and_invariants():
