@@ -128,13 +128,8 @@ def _kept_cases(spectrum, tol: float):
     the last ``tol`` asked, so ``classify`` and the builders decide once."""
     kept = spectrum.cases
     if kept is None or kept[0] != tol:
-        kept = spectrum.cases = tol, _cases(spectrum.structure(), tol, spectrum.scale)
+        kept = spectrum.cases = tol, _cases(spectrum.structure, tol, spectrum.scale)
     return kept[1]
-
-
-def _classify_structure(structure: EigenStructure, tol: float,
-                        scale: float) -> DDClassification:
-    return _classification(structure, tol, _cases(structure, tol, scale))
 
 
 def _classification(structure: EigenStructure, tol: float, table) -> DDClassification:
@@ -163,7 +158,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     a = as_matrix(a)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
-    return _classification(spectrum.structure(), tol, _kept_cases(spectrum, tol))
+    return _classification(spectrum.structure, tol, _kept_cases(spectrum, tol))
 
 
 def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
@@ -196,7 +191,7 @@ def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
         pair = ComplexPair(alpha=peak * half_trace, beta=peak * math.sqrt(-disc),
                            alg_mult=1, geo_mult=1)
         structure = EigenStructure(real_eigs=(), complex_pairs=(pair,))
-    return _classify_structure(structure, tol, _scale(a))
+    return _classification(structure, tol, _cases(structure, tol, _scale(a)))
 
 
 def _half_trace_disc(a00, a01, a10, a11):

@@ -21,11 +21,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .classify import BORDERLINE_TOL, Verdict, classify
 from .construct import Target, build_complex_dd_transform, build_real_dd_transform
-from .core import Axis, gershgorin_discs
+from .core import Axis
 from .errors import (ClusterAmbiguity, IllConditionedJordan, MatrixParseError,
                      NotAchievable, NumericallySingular, PreconditionViolated,
                      SingularInput, SingularTransform)
@@ -33,7 +31,7 @@ from .io import dumps, load_matrix
 from .special import (HURWITZ_TOL, h_matrix_scaling, is_h_matrix, is_hurwitz,
                       is_m_matrix, is_metzler, is_z_matrix,
                       metzler_hurwitz_scaling)
-from .svg import render_gershgorin
+from .svg import render_matrix
 
 #: (error types, exit code, stderr line) for every failure ``main`` reports.
 _OUTCOMES = (
@@ -213,14 +211,7 @@ def _cmd_gershgorin(a, args):
     if not args.out:
         print("gershgorin requires --out SVG_PATH", file=sys.stderr)
         return None, None, 1
-    axis = Axis.ROW if args.axis == "row" else Axis.COLUMN
-    with np.errstate(over="ignore"):
-        discs, eigenvalues = gershgorin_discs(a, axis), np.linalg.eigvals(a)
-    if not (np.isfinite([d.radius for d in discs]).all() and np.isfinite(eigenvalues).all()):
-        # drawn from a divided by a power of two, which moves no pixel
-        a = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])
-        discs, eigenvalues = gershgorin_discs(a, axis), np.linalg.eigvals(a)
-    return None, render_gershgorin(discs, eigenvalues), 0
+    return None, render_matrix(a, Axis.ROW if args.axis == "row" else Axis.COLUMN), 0
 
 
 def main(argv=None) -> int:

@@ -7,11 +7,12 @@ weights; :func:`ddsim.spectral._assemble_jordan` writes the scaled matrix in
 one pass.  The complex path takes its chain basis from the complex chain
 vectors, so each rotation-like cell is diagonal and any nonsingular real
 matrix ends up strictly dominant in the magnitude sense.  That basis is a
-unitary image of the real one, so its inverse is the real inverse with each
-pair's rows mapped, and both paths share one basis test and one inversion.
-Each certificate is verified once, on its own: every weight is >= 1 and the
-map is unitary, so its residual ``||D U (P_J A - J P_J)||_F`` is never below
-the Jordan residual.
+unitary image of the real one, so its inverse is the real inverse the
+spectrum keeps, with each pair's rows mapped by
+:func:`ddsim.spectral._complex_inverse`: both paths share one basis test and
+one inversion.  Each certificate is verified once, on its own: every weight
+is >= 1 and the map is unitary, so its residual ``||D U (P_J A - J P_J)||_F``
+is never below the Jordan residual.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .classify import BORDERLINE_TOL, Verdict, _case, _kept_cases
 from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexPair, RealEigenvalue, RealJordanBlock,
-                       RealJordanForm, _assemble_jordan, _checked_residual,
+                       RealJordanForm, _assemble_jordan, _checked_residual, _complex_inverse,
                        _forget_on_failure, _spectrum, jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
@@ -110,13 +111,15 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
 
 def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
     """The certificate ``B = P A P^{-1}`` of ``A = spectrum.a``: ``P = diag(d) inv(Q)`` for
-    the chain basis ``Q`` and ``(d, B)`` from :func:`_scaled`, each chain at the entry of
-    ``slacks`` of its cluster (``spectrum.chain_clusters``); :class:`IllConditionedJordan`
-    unless the residual is within ``certificate_tol`` and ``B`` meets ``target``
-    (``miss_message`` for a miss)."""
-    blocks, p_j = spectrum.chain_inverse(diagonal_cells)
-    slacks = [slacks[i] for i in spectrum.chain_clusters]
-    d, b = _scaled(blocks, len(p_j), slacks, MARGIN_FRACTION, diagonal_cells)
+    the chain basis ``Q`` of ``spectrum.basis()``, or with ``diagonal_cells`` for its complex
+    image (:func:`_complex_inverse`), and ``(d, B)`` from :func:`_scaled`, each chain at the
+    entry of ``slacks`` of the cluster that owns it; :class:`IllConditionedJordan` unless
+    the residual is within ``certificate_tol`` and ``B`` meets ``target`` (``miss_message``
+    for a miss)."""
+    blocks, p_j, owners = spectrum.basis()
+    p_j = _complex_inverse(blocks, p_j) if diagonal_cells else p_j
+    d, b = _scaled(blocks, len(p_j), [slacks[i] for i in owners], MARGIN_FRACTION,
+                   diagonal_cells)
     p = d[:, None] * p_j
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
     dominance = _dominance(b, Axis.ROW, target is Target.STRICT, 0.0)

@@ -17,10 +17,10 @@ from numbers import Integral
 import numpy as np
 
 from .classify import TwoByTwoParams
-from .core import Axis, as_matrix, is_diag_dominant
+from .core import SINGULAR_SV_RTOL, Axis, as_matrix, is_diag_dominant
 
-#: Transforms with 2-norm condition number above this are rejected.
-COND_LIMIT = 1e12
+#: Transforms with 2-norm condition number above this (exactly 1e12) are rejected.
+COND_LIMIT = 1 / SINGULAR_SV_RTOL
 _BATCH = 4096
 
 

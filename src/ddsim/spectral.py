@@ -312,88 +312,82 @@ def _group(vals, tol, kind):
     return groups, means
 
 
-class _Spectrum:
-    """One ``eig`` solve of ``a`` and the clusters of its spectrum.
+def _clusters(a, values, vectors, tol):
+    """``(real_clusters, pair_clusters)`` of the ``eig`` solve ``(values,
+    vectors)`` of ``a`` at the absolute tolerance ``tol``, pair clusters
+    holding only the upper-half-plane members.  Raises
+    :class:`ClusterAmbiguity`."""
+    w = values.tolist()
+    if any(tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol for z in w):
+        near_real = np.abs(values.imag) <= tol
+        raise ClusterAmbiguity(
+            "an eigenvalue sits near the real axis within "
+            f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
+            "its realness cannot be decided",
+            groupings=[list(values[near_real].real), list(values.real)],
+        )
+    real_idx = sorted((i for i, z in enumerate(w) if abs(z.imag) <= tol),
+                      key=lambda i: w[i].real)
+    upper_idx = [i for i, z in enumerate(w) if z.imag > tol]
+    out = []
+    for idx, pairs, vecs in ((real_idx, False, vectors.real), (upper_idx, True, vectors)):
+        vals = [w[i] if pairs else w[i].real for i in idx]
+        out.append([_Cluster(a, [vals[i] for i in g], mean, pairs,
+                             vecs[:, idx[g[0]]] if len(g) == 1 else None)
+                    for g, mean in zip(*_group(vals, tol, "complex" if pairs else "real"))])
+    return tuple(out)
 
-    Every spectral fact of ``a`` is derived from this single solve, and kept:
-    :func:`_spectrum` hands the same object to each call on the same matrix,
-    so ``scale``, the values, the clusters with their filtrations and chains,
-    ``structure()``, the real chain basis with its inverse, and the case
-    table of the last ``tol`` are computed once per matrix, not once per
-    call.  The
-    verdict, the eigen-structure and the Jordan basis all read the same
-    values, and each simple cluster takes its vector from the same solve.
-    ``scale`` is ``_scale(a)``, shared by every band and residual limit;
-    ``a`` must come from :func:`as_matrix`.  Lazy state is assigned only once
-    it is complete, so a step that raises leaves none of it behind.
+
+def _structure(clusters) -> EigenStructure:
+    """Both multiplicities of every cluster of ``clusters``, real clusters
+    first; only repeated eigenvalues cost an SVD.  Raises
+    :class:`IllConditionedJordan` unless ``1 <= geo_mult <= alg_mult``."""
+    found = ([], [])
+    for pairs, kind in enumerate(clusters):
+        for c in kind:
+            lam, alg, geo = c.rep, c.alg_mult, c.geo_mult
+            if not 1 <= geo <= alg:
+                name = (f"pair {lam.real:.6g}+/-{lam.imag:.6g}j" if pairs
+                        else f"eigenvalue {lam.real:.6g}")
+                raise IllConditionedJordan(f"inconsistent multiplicities for {name}: "
+                                           f"geometric {geo}, algebraic {alg}")
+            found[pairs].append(ComplexPair(lam.real, lam.imag, alg, geo) if pairs
+                                else RealEigenvalue(lam.real, alg, geo))
+    return EigenStructure(*map(tuple, found))
+
+
+class _Spectrum:
+    """One ``eig`` solve of ``a``, with the ``clusters`` and ``structure``
+    that every spectral call reads, made here: a matrix they refuse raises
+    before any spectrum of it is kept.  :func:`_spectrum` hands the same
+    object to each call on the same matrix, so the chain filtrations, the
+    real chain basis with its inverse (:meth:`basis`, built on first use)
+    and the case table of the last ``tol`` (``cases``) are computed once per
+    matrix.  ``scale`` is ``_scale(a)``, shared by every band and residual
+    limit; ``a`` must come from :func:`as_matrix`.  Lazy state is assigned
+    only once it is complete, so a step that raises leaves none of it behind.
     """
 
     def __init__(self, a, cluster_tol):
         self.a = a
         self.scale = _scale(a)
-        self.tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
-        self.values, self.vectors = np.linalg.eig(a)
-        self._clusters = self._structure = self._basis = None
+        tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
+        self.clusters = _clusters(a, *np.linalg.eig(a), tol)
+        self.structure = _structure(self.clusters)
+        self._basis = None
         #: ``(tol, table)``: the case table :mod:`ddsim.classify` keeps for the last ``tol``
         self.cases = None
 
-    @property
-    def clusters(self):
-        """``(real_clusters, pair_clusters)``, pair clusters holding only the
-        upper-half-plane members.  Raises :class:`ClusterAmbiguity`."""
-        if self._clusters is not None:
-            return self._clusters
-        w, tol = self.values.tolist(), self.tol
-        if any(tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol for z in w):
-            near_real = np.abs(self.values.imag) <= tol
-            raise ClusterAmbiguity(
-                "an eigenvalue sits near the real axis within "
-                f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
-                "its realness cannot be decided",
-                groupings=[list(self.values[near_real].real), list(self.values.real)],
-            )
-        real_idx = sorted((i for i, z in enumerate(w) if abs(z.imag) <= tol),
-                          key=lambda i: w[i].real)
-        upper_idx = [i for i, z in enumerate(w) if z.imag > tol]
-        out = []
-        for idx, pairs, vectors in ((real_idx, False, self.vectors.real),
-                                    (upper_idx, True, self.vectors)):
-            values = [w[i] if pairs else w[i].real for i in idx]
-            out.append([_Cluster(self.a, [values[i] for i in g], mean, pairs,
-                                 vectors[:, idx[g[0]]] if len(g) == 1 else None)
-                        for g, mean in zip(*_group(values, tol, "complex" if pairs else "real"))])
-        self._clusters = tuple(out)
-        return self._clusters
-
-    def structure(self) -> EigenStructure:
-        """Both multiplicities of every cluster, real clusters first; only
-        repeated eigenvalues cost an SVD."""
-        if self._structure is not None:
-            return self._structure
-        found = ([], [])
-        for pairs, clusters in enumerate(self.clusters):
-            for c in clusters:
-                lam, alg, geo = c.rep, c.alg_mult, c.geo_mult
-                if not 1 <= geo <= alg:
-                    name = (f"pair {lam.real:.6g}+/-{lam.imag:.6g}j" if pairs
-                            else f"eigenvalue {lam.real:.6g}")
-                    raise IllConditionedJordan(f"inconsistent multiplicities for {name}: "
-                                               f"geometric {geo}, algebraic {alg}")
-                found[pairs].append(ComplexPair(lam.real, lam.imag, alg, geo) if pairs
-                                    else RealEigenvalue(lam.real, alg, geo))
-        self._structure = EigenStructure(*map(tuple, found))
-        return self._structure
-
-    def _chain_basis(self):
+    def basis(self):
         """``(blocks, inv(Q), owners)`` for the real basis ``Q`` of the
         clusters' Jordan chains, once ``Q`` passes the singular-value ratio
         test: a pair's chain vector ``w`` gives the columns ``(Re w, Im w)``,
-        and ``owners`` holds each chain's cluster index, real clusters first.
-        The multiplicities are checked first, by ``structure()``.  The kept
-        ``inv(Q)`` is read-only; a caller that hands it out copies it."""
+        and ``owners`` holds each chain's cluster index, in block order, real
+        clusters first.  Each cluster's chains fill exactly its ``alg_mult``
+        coordinates (two per pair), so ``Q`` is square.  The kept ``inv(Q)``
+        is read-only; a caller that hands it out copies it."""
         if self._basis is not None:
             return self._basis
-        self.structure()
         real, pairs = self.clusters
         blocks, columns, owners = [], [], []
         for index, cluster in enumerate(real + pairs):
@@ -407,10 +401,6 @@ class _Spectrum:
                     blocks.append(ComplexJordanBlock(lam.real, lam.imag, len(chain)))
                     for w in chain:
                         columns += (w.real, w.imag)
-
-        if len(columns) != self.a.shape[0]:
-            raise IllConditionedJordan(
-                "block dimensions do not add up to the matrix dimension")
         q = np.array(columns).T
         ratio = _singular_ratio(q)
         if ratio:
@@ -419,30 +409,6 @@ class _Spectrum:
         inverse.flags.writeable = False
         self._basis = tuple(blocks), inverse, tuple(owners)
         return self._basis
-
-    @property
-    def chain_clusters(self):
-        """Each chain's cluster index, in block order, real clusters first."""
-        return self._chain_basis()[2]
-
-    def chain_inverse(self, diagonal_cells=False):
-        """``(blocks, inv(Q))`` for the kept real chain basis ``Q``, or with
-        ``diagonal_cells`` for the complex basis ``Q U`` whose pair columns
-        ``(w, conj(w)) / sqrt(2)`` turn each rotation cell into
-        ``diag(alpha + beta j, alpha - beta j)``.  ``U`` is unitary, so
-        ``Q U`` passes the ratio test exactly when ``Q`` does, and its
-        inverse ``U^H inv(Q)`` maps the rows ``(x, y)`` of each pair to
-        ``((x - y j) / sqrt(2), (x + y j) / sqrt(2))``; real rows come first."""
-        blocks, p, _ = self._chain_basis()
-        if not diagonal_cells:
-            return blocks, p
-        r = sum(b.size for b in blocks if isinstance(b, RealJordanBlock))
-        x, y = p[r::2] / _SQRT2, p[r + 1::2] / _SQRT2
-        out = p.astype(complex)
-        out.real[r::2] = out.real[r + 1::2] = x
-        out.imag[r::2] = -y
-        out.imag[r + 1::2] = y
-        return blocks, out
 
 
 _slot = threading.local()
@@ -454,7 +420,8 @@ def _spectrum(a, cluster_tol):
     Each thread keeps one: the spectrum of its last call, keyed by the shape
     and bytes of ``a`` (validation makes every matrix C-ordered) and by
     ``cluster_tol``.  A call on the same key reuses it; any other call
-    replaces it.  Every result is the one a fresh spectrum gives, whatever
+    replaces it, unless making its spectrum raises: the slot then keeps
+    what it held.  Every result is the one a fresh spectrum gives, whatever
     came before.
     """
     key = (a.shape, a.tobytes(), cluster_tol)
@@ -497,7 +464,7 @@ def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     :class:`ClusterAmbiguity` when the grouping is not numerically decidable
     at this tolerance.
     """
-    return _spectrum(as_matrix(a), cluster_tol).structure()
+    return _spectrum(as_matrix(a), cluster_tol).structure
 
 
 def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0):
@@ -529,6 +496,21 @@ def _assemble_jordan(blocks, n, diagonal_cells=False, rho=1.0):
     return np.array(weights), out
 
 
+def _complex_inverse(blocks, p):
+    """``inv(Q U)`` from ``p = inv(Q)``, ``Q`` the real chain basis of ``blocks``:
+    the unitary ``U`` maps each pair's columns ``(Re w, Im w)`` to ``(w, conj(w))
+    / sqrt(2)``, which diagonalises each rotation cell, so ``Q U`` passes the ratio
+    test exactly when ``Q`` does, and ``U^H p`` writes each pair's rows ``(x, y)``
+    of ``p`` as ``((x - y j) / sqrt(2), (x + y j) / sqrt(2))``."""
+    r = sum(b.size for b in blocks if isinstance(b, RealJordanBlock))
+    x, y = p[r::2] / _SQRT2, p[r + 1::2] / _SQRT2
+    out = p.astype(complex)
+    out.real[r::2] = out.real[r + 1::2] = x
+    out.imag[r::2] = -y
+    out.imag[r + 1::2] = y
+    return out
+
+
 @_forget_on_failure
 def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     """Real Jordan normal form ``J = P A P^{-1}`` with real ``P``.
@@ -543,7 +525,7 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     ``cluster_tol``.
     """
     spectrum = _spectrum(as_matrix(a), cluster_tol)
-    blocks, p = spectrum.chain_inverse()
+    blocks, p, _ = spectrum.basis()
     _, j = _assemble_jordan(blocks, len(p))
     return RealJordanForm(J=j, P=p.copy(), blocks=blocks, residual=_checked_residual(
         spectrum.a, p, j, spectrum.scale, "Jordan"))

@@ -25,7 +25,7 @@ from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
 from ddsim.core import _scale
 from ddsim.errors import (ClusterAmbiguity, DdsimError, IllConditionedJordan, NotAchievable,
                           PreconditionViolated, SingularInput)
-from ddsim.spectral import _assemble_jordan, _forget, _Spectrum
+from ddsim.spectral import _assemble_jordan, _complex_inverse, _forget, _Spectrum
 
 
 def _bits(x):
@@ -71,8 +71,8 @@ def test_eigenvector_path_matches_filtration(n):
         for cluster in [c for group in from_filtration.clusters for c in group]:
             assert cluster.vector is not None
             cluster.vector = None
-        blocks_eig, p_eig = from_eig.chain_inverse()
-        blocks_filtration, p_filtration = from_filtration.chain_inverse()
+        blocks_eig, p_eig, _ = from_eig.basis()
+        blocks_filtration, p_filtration, _ = from_filtration.basis()
         assert blocks_eig == blocks_filtration
         _, j = _assemble_jordan(blocks_eig, len(a))
         assert similarity_residual(a, p_eig, j) <= jordan_residual_tol(a)
@@ -109,9 +109,10 @@ def test_mapped_complex_inverse_matches_direct_inverse(family, size):
             a, cluster_tol = chain_matrix(rng, "pair", size), 1e-4
         spectrum = _Spectrum(as_matrix(a), cluster_tol)
         try:
-            _, mapped = spectrum.chain_inverse(diagonal_cells=True)
+            blocks, p, _ = spectrum.basis()
         except IllConditionedJordan:
             continue
+        mapped = _complex_inverse(blocks, p)
         q = _direct_complex_basis(spectrum)
         direct = np.linalg.inv(q)
         bound = 8.0 * np.linalg.cond(q) * np.finfo(float).eps * np.abs(direct).max()

@@ -27,7 +27,7 @@ from ddsim import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, Tar
 import ddsim
 import ddsim.core
 import ddsim.spectral
-from ddsim.classify import _cases, _classify_structure
+from ddsim.classify import _cases, _classification
 from ddsim.cli import main as cli_main
 from ddsim.errors import IllConditionedJordan
 
@@ -284,7 +284,7 @@ def test_case_table_and_evidence_give_one_verdict(names):
         tuple(e for e in examples if isinstance(e, RealEigenvalue)),
         tuple(e for e in examples if isinstance(e, ComplexPair)))
     cases, verdict, zero_tol = _cases(structure, _TOL, _SCALE)
-    result = _classify_structure(structure, _TOL, _SCALE)
+    result = _classification(structure, _TOL, _cases(structure, _TOL, _SCALE))
     assert zero_tol == _ZERO_TOL
     assert sorted(case for _, case in cases) == sorted(names)
     assert [(e, f.case) for e, f in zip(structure.real_eigs + structure.complex_pairs,

@@ -12,7 +12,7 @@ from ddsim import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock, eigen_struc
 from ddsim.core import _diag_similarity, _scale
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
 from ddsim.spectral import (AMBIGUITY_FACTOR, RANK_RTOL, _assemble_jordan, _checked_residual,
-                            _group, _Spectrum)
+                            _clusters, _group, _Spectrum)
 
 
 def test_eigen_structure_triangular():
@@ -286,7 +286,7 @@ def _reference_group(values, tol, kind):
 
 
 def _reference_clusters(w, tol):
-    """The numpy realness split and cluster summaries ``_Spectrum.clusters``
+    """The numpy realness split and cluster summaries ``_clusters``
     replaced: per kind, ``(rep, alg_mult, radius)`` of each cluster."""
     imag = w.imag
     near_real = np.abs(imag) <= tol
@@ -385,11 +385,10 @@ def _spectra(draw):
 @given(_spectra())
 def test_clusters_match_the_reference_realness_and_grouping(case):
     w, tol = case
-    spectrum = _Spectrum(np.eye(1), 0.0)
-    spectrum.values, spectrum.vectors, spectrum.tol = w, np.eye(len(w)), tol
 
     def summaries():
-        return [[(c.rep, c.alg_mult, c.radius) for c in kind] for kind in spectrum.clusters]
+        return [[(c.rep, c.alg_mult, c.radius) for c in kind]
+                for kind in _clusters(np.eye(len(w)), w, np.eye(len(w)), tol)]
 
     assert _outcome(summaries) == _outcome(lambda: _reference_clusters(w, tol))
 

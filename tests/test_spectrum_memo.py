@@ -15,7 +15,7 @@ from ddsim import (CLUSTER_TOL, Target, build_complex_dd_transform, build_real_d
                    classify, eigen_structure, real_jordan_form)
 import ddsim.spectral
 from ddsim.core import as_matrix
-from ddsim.errors import IllConditionedJordan
+from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
 from ddsim.spectral import _forget, _Spectrum
 from test_agreement import _end, _straddling_clusters
 
@@ -158,6 +158,34 @@ def test_untyped_failure_empties_the_slot(monkeypatch):
     assert ddsim.spectral._slot.last is None
 
 
+#: Matrices whose spectrum every call refuses while it is made, with the
+#: type and message of the refusal.
+_REFUSED = {
+    "ambiguous": (np.diag([-1.0, -1.00000036]), ClusterAmbiguity,
+                  "real eigenvalue clusters at -1 and -1 are separated by 3.600e-07, "
+                  "within 2.0x the clustering tolerance 2.414e-07"),
+    "inconsistent": (1e-7 * np.array([[-2.0, 1.0], [-1.0, -2.0]]), IllConditionedJordan,
+                     "inconsistent multiplicities for eigenvalue -2e-07: "
+                     "geometric 0, algebraic 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_matrix_is_not_kept(a, solves, case, name):
+    refused, kind, message = _REFUSED[case]
+    classify(a)
+    kept = ddsim.spectral._slot.last
+    for _ in range(2):
+        with pytest.raises(kind) as refusal:
+            CALLS[name](refused)
+        assert str(refusal.value) == message
+        assert ddsim.spectral._slot.last is kept
+    # each refusal solved afresh, and the matrix before it is still kept
+    classify(a)
+    assert solves == {"eig": 3}
+
+
 def test_failed_filtration_step_changes_nothing(monkeypatch):
     a = chain_matrix(np.random.default_rng(6), "real", 3)
     (cluster,) = _Spectrum(a, 1e-4).clusters[0]
@@ -193,7 +221,7 @@ def test_refused_basis_is_not_kept():
     for _ in range(2):
         with pytest.raises(IllConditionedJordan,
                            match="Jordan basis is numerically singular") as refusal:
-            spectrum.chain_inverse()
+            spectrum.basis()
         assert spectrum._basis is None
         ends.append(str(refusal.value))
     assert ends[0] == ends[1]
