@@ -135,93 +135,90 @@ def _nullspace(m, extra_tol=0.0):
 
 
 class _Cluster:
-    """One eigenvalue cluster and the nullspace filtration of ``m = a - rep I``.
+    """One eigenvalue cluster and its Jordan chains, from the nullspace
+    filtration of ``m = a - rep I`` (over the complex field for conjugate
+    pairs).
 
-    The filtration (over the complex field for conjugate pairs) is taken one
-    power at a time, one SVD each, only as far as a caller needs it, and kept
-    with the chains built from it; the first SVD gives ``sig = ||m||_2``.  A
-    simple cluster needs none of it: its geometric multiplicity is 1, and
-    ``vector`` holds the unit eigenvector ``eig`` returned for it.  Lazy
-    state changes only when a step succeeds, so a step that raises leaves
-    the cluster as it was.
+    A repeated cluster keeps two records, each once it is complete:
+    ``_first``, the first power with its kernel and ``||m||_2`` from one SVD,
+    which gives the geometric multiplicity; and ``chains``, which takes the
+    higher powers, one SVD each, and the chain tops.  A step that raises
+    keeps nothing, so the next call takes it again.  A simple cluster needs
+    neither: its one chain is the unit eigenvector ``eig`` returned for it,
+    set when the cluster is made.
     """
 
     def __init__(self, a, members, mean, complex_field, vector=None):
         self.rep = complex(mean)
-        # a simple cluster's member is its mean
-        self.radius = (float(np.abs(np.array(members) - self.rep).max())
-                       if len(members) > 1 else 0.0)
         self.alg_mult = len(members)
         self.lam = self.rep if complex_field else self.rep.real
         self.a = a
         self.dtype = complex if complex_field else float
-        self.vector = vector
-        self.bases = []
-        self._chains = None
+        if vector is None:
+            self.radius = float(np.abs(np.array(members) - self.rep).max())
+        else:  # a simple cluster's member is its mean
+            self.radius, self.chains = 0.0, [[vector]]
 
-    def _grow(self):
-        """Append a nullspace basis of the next power of ``m``."""
-        k = len(self.bases) or 1
-        if self.bases:
-            with np.errstate(over="ignore", invalid="ignore"):
-                power = self.power @ self.m
-                # cluster spread perturbs m^k by roughly k * radius * ||m||^{k-1}
-                growth = np.float64(max(1.0, self.sig)) ** (k - 1)
-        else:
-            # + 0.0 turns -0.0 into 0.0, whose sign LAPACK can pass on to a basis vector
-            eye = np.eye(len(self.a), dtype=self.dtype)
-            power, growth = self.a.astype(self.dtype) - self.lam * eye + 0.0, 1.0
+    @functools.cached_property
+    def _first(self):
+        """``(m, ker m, ||m||_2)``."""
+        # + 0.0 turns -0.0 into 0.0, whose sign LAPACK can pass on to a basis vector
+        eye = np.eye(len(self.a), dtype=self.dtype)
+        m = self._finite(self.a.astype(self.dtype) - self.lam * eye + 0.0, 1, 1.0)
+        return (m, *_nullspace(m, 2.0 * self.radius))
+
+    def _finite(self, power, k, growth):
+        """``power``, the k-th of ``m``; :class:`IllConditionedJordan` if it or
+        its perturbation bound ``growth`` overflows."""
         if not (growth < np.inf and np.isfinite(power).all()):
             raise IllConditionedJordan(
                 f"power {k} of A - lambda I overflows near eigenvalue {self.lam:.6g}")
-        basis, sig = _nullspace(power, 2.0 * k * self.radius * growth)
-        if not self.bases:
-            self.m, self.sig = power, sig
-            self.bases.append(basis[:, :0])  # ker(m^0) = {0}
-        self.power = power
-        self.bases.append(basis)
+        return power
 
     @property
     def geo_mult(self) -> int:
-        """1 for a simple cluster, else the first width of the filtration."""
-        if self.alg_mult == 1:
-            return 1
-        if not self.bases:
-            self._grow()
-        return self.bases[1].shape[1]
+        """1 for a simple cluster, else the nullity of ``m``."""
+        return 1 if self.alg_mult == 1 else self._first[1].shape[1]
 
+    @functools.cached_property
     def chains(self):
         """Jordan chains of the cluster, longest first (the order they are built in).
 
-        A simple cluster's one chain is its ``eig`` eigenvector.  Otherwise
-        chains are built top-down from the filtration: the number of chains of
-        length >= k is the nullity increment between consecutive powers, chain
-        tops at height k are chosen independent of ker(m^{k-1}) and of taller
-        chains via SVD, and the rest of each chain is generated exactly as
-        v_{j-1} = m v_j.
+        The filtration is taken one power at a time until its nullity
+        reaches the algebraic multiplicity or stops growing.  The number of
+        chains of length >= k is the nullity increment between consecutive
+        powers, chain tops at height k are chosen independent of
+        ker(m^{k-1}) and of taller chains via SVD, and the rest of each
+        chain is generated exactly as v_{j-1} = m v_j.
         """
-        if self.vector is not None:
-            return [[self.vector]]
-        if self._chains is not None:
-            return self._chains
-        alg, lam, bases = self.alg_mult, self.lam, self.bases
-        for k in range(1, alg + 1):
-            if len(bases) <= k:
-                self._grow()
-            if bases[k].shape[1] > alg:
-                raise IllConditionedJordan(
-                    f"nullity {bases[k].shape[1]} of power {k} exceeds the cluster "
-                    f"multiplicity {alg} near eigenvalue {lam:.6g}")
-            if bases[k].shape[1] in (alg, bases[k - 1].shape[1]):
+        m, kernel, sig = self._first
+        alg, lam = self.alg_mult, self.lam
+        bases, power = [kernel[:, :0], kernel], m  # ker(m^0) = {0}
+        for k in range(2, alg + 1):
+            if bases[-1].shape[1] >= alg or bases[-1].shape[1] == bases[-2].shape[1]:
                 break
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = power @ m
+                # cluster spread perturbs m^k by roughly k * radius * max(1, ||m||)^{k-1},
+                # and a rounding-size error in lambda, eps * max(|lambda|, ||m||), by k
+                # times that times ||m||^{k-1}; RANK_RTOL * ||m^k|| alone vanishes with
+                # m^k, as on a chain alone in its matrix (Kagstrom & Ruhe, ACM TOMS 1980)
+                growth = np.float64(max(1.0, sig)) ** (k - 1)
+                rounding = np.finfo(float).eps * max(abs(lam), sig) * np.float64(sig) ** (k - 1)
+                cut = 2.0 * k * max(self.radius * growth, rounding)
+            power = self._finite(power, k, growth)
+            bases.append(_nullspace(power, cut)[0])
         nullities = [b.shape[1] for b in bases]
+        height = len(nullities) - 1
+        if nullities[-1] > alg:
+            raise IllConditionedJordan(
+                f"nullity {nullities[-1]} of power {height} exceeds the cluster "
+                f"multiplicity {alg} near eigenvalue {lam:.6g}")
         if nullities[-1] != alg:
             raise IllConditionedJordan(
                 f"nullspace filtration saturated at {nullities[-1]} < algebraic "
                 f"multiplicity {alg} near eigenvalue {lam:.6g}")
 
-        m = self.m
-        height = len(nullities) - 1
         widths = [nullities[k] - nullities[k - 1] for k in range(1, height + 1)]
         if any(widths[i + 1] > widths[i] for i in range(len(widths) - 1)):
             raise IllConditionedJordan(
@@ -254,7 +251,6 @@ class _Cluster:
                 vs.reverse()
                 norm_max = max(map(_frobenius, vs))
                 chains.append([v / norm_max for v in vs])
-        self._chains = chains
         return chains
 
 
@@ -360,7 +356,7 @@ class _Spectrum:
     """One ``eig`` solve of ``a``, with the ``clusters`` and ``structure``
     that every spectral call reads, made here: a matrix they refuse raises
     before any spectrum of it is kept.  :func:`_spectrum` hands the same
-    object to each call on the same matrix, so the chain filtrations, the
+    object to each call on the same matrix, so the clusters' chains, the
     real chain basis with its inverse (:meth:`basis`, built on first use)
     and the case table of the last ``tol`` (``cases``) are computed once per
     matrix.  ``scale`` is ``_scale(a)``, shared by every band and residual
@@ -392,7 +388,7 @@ class _Spectrum:
         blocks, columns, owners = [], [], []
         for index, cluster in enumerate(real + pairs):
             lam = cluster.rep
-            for chain in cluster.chains():
+            for chain in cluster.chains:
                 owners.append(index)
                 if index < len(real):
                     blocks.append(RealJordanBlock(lam.real, len(chain)))

@@ -1,15 +1,15 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 from _gen import chain_matrix, spectrum_matrix
-from ddsim import (CLUSTER_TOL, Axis, Target, Verdict, as_matrix, build_complex_dd_transform,
-                   build_real_dd_transform, certificate_tol, classify, is_diag_dominant,
-                   real_jordan_form, scale_jordan_to_dd, similarity_residual)
+from ddsim import (Axis, Target, Verdict, build_complex_dd_transform, build_real_dd_transform,
+                   certificate_tol, classify, is_diag_dominant, real_jordan_form,
+                   scale_jordan_to_dd, similarity_residual)
 from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
                           SingularInput)
-from ddsim.spectral import _spectrum
 
 
 def _check_certificate(a, cert):
@@ -430,12 +430,54 @@ def test_overflowing_filtration_power_is_refused_typed(call, c, k):
     # (the suite turns a RuntimeWarning into an error)
     a = c * np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]])
     assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE
-    spectrum = _spectrum(as_matrix(a), CLUSTER_TOL)
-    (cluster,), _ = spectrum.clusters
     message = f"power {k} of A - lambda I overflows near eigenvalue "
-    # the failed step assigns no state: the cluster keeps the k powers before
-    # it (with the empty kernel of the 0th), and a second call ends as the first
+    # the refused chain build keeps nothing, and a second call ends as the first
+    ends = []
     for _ in range(2):
-        with pytest.raises(IllConditionedJordan, match=re.escape(message)):
+        with pytest.raises(IllConditionedJordan, match=re.escape(message)) as refusal:
             call(a)
-        assert len(cluster.bases) == k
+        ends.append((type(refusal.value), str(refusal.value)))
+    assert ends[0] == ends[1]
+
+
+#: Every [[a, b], [c, d]] with |a|, |b|, |c| <= 6 and one double eigenvalue
+#: (a + d) / 2, nonzero and defective: (a - d)^2 + 4bc = 0, so |a - d| <= 12
+_INTEGER_DEFECTIVE = [
+    np.array([[a, b], [c, d]], dtype=float)
+    for a, b, c in itertools.product(range(-6, 7), repeat=3) for d in range(a - 12, a + 13)
+    if (a - d) ** 2 + 4 * b * c == 0 and (b, c) != (0, 0) and a + d != 0]
+
+
+def test_integer_defective_double_eigenvalues_are_certified():
+    # e.g. [[-4, 2], [-2, 0]], and [[-5, 4], [-4, 3]], whose eig returns
+    # -1 +/- 3e-8j: a chain alone in its matrix, whose m^2 is all rounding
+    assert len(_INTEGER_DEFECTIVE) == 672
+    for a in _INTEGER_DEFECTIVE:
+        assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE, a
+        _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
+        _check_certificate(a, build_complex_dd_transform(a))
+
+
+def _chain_beside(length, gap):
+    """An upper-triangular Jordan chain at -2 and a simple eigenvalue -2 + gap."""
+    a = np.diag([-2.0] * length + [-2.0 + gap])
+    a[np.arange(length - 1), np.arange(1, length)] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("length, gap, c", [
+    (2, 1e-5, 1.0), (2, -1e-5, 1.0), (2, 1e-4, 1.0), (2, 1e-5, 1e9), (2, -1e-5, 1e9),
+    (3, 3e-4, 1.0), (3, 1e-3, 1.0), (3, -1e-3, 1.0)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_chain_beside_a_near_eigenvalue_is_built(length, gap, c, reverse):
+    # eig returns the diagonal exactly, so the chain's cluster has radius 0
+    # and the cut of m^k is the rounding-size one, far below gap^k.  A cut of
+    # RANK_RTOL * ||m||^k once read the near eigenvalue into the chain's
+    # kernel ("nullity 3 of power 2 exceeds the cluster multiplicity 2")
+    a = c * _chain_beside(length, gap)
+    if reverse:  # the similarity by the reversal permutation
+        a = a[::-1, ::-1].copy()
+    sizes = sorted(b.size for b in real_jordan_form(a).blocks)
+    assert sizes == [1, length]
+    _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
+    _check_certificate(a, build_complex_dd_transform(a))

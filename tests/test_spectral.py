@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _gen import chain_matrix, spectrum_matrix, well_conditioned
 from ddsim import (CLUSTER_TOL, ComplexJordanBlock, RealJordanBlock, eigen_structure,
                    jordan_residual_tol, real_jordan_form, similarity_residual)
+import ddsim.spectral
 from ddsim.core import _diag_similarity, _scale
 from ddsim.errors import ClusterAmbiguity, IllConditionedJordan
 from ddsim.spectral import (AMBIGUITY_FACTOR, RANK_RTOL, _assemble_jordan, _checked_residual,
@@ -154,7 +155,7 @@ def test_chains_come_longest_first_as_built(case, reverse):
     if reverse:  # the similarity by the reversal permutation
         a = a[::-1, ::-1].copy()
     (cluster,) = [c for kind in _Spectrum(a, CLUSTER_TOL).clusters for c in kind]
-    assert [len(chain) for chain in cluster.chains()] == lengths
+    assert [len(chain) for chain in cluster.chains] == lengths
     assert [b.size if isinstance(b, RealJordanBlock) else b.chain_length
             for b in real_jordan_form(a).blocks] == lengths
 
@@ -163,7 +164,8 @@ def test_first_svd_norm_moves_no_nullity():
     # the filtration scales its power-2 cut by sig, the largest singular
     # value of its power-1 SVD, not by a separate ||m||_2; the two agree to
     # within the band, and no singular value of m^2 lies within the band of
-    # the cut, so taking either gives the same nullity
+    # the cut, 4 max(radius max(1, sig), eps max(|lambda|, sig) sig), so
+    # taking either gives the same nullity
     band = 8 * np.finfo(float).eps
     steps = 0
     for seed in range(200):
@@ -175,16 +177,68 @@ def test_first_svd_norm_moves_no_nullity():
             for cluster in clusters[0] + clusters[1]:
                 if cluster.alg_mult == 1:
                     continue
-                with contextlib.suppress(IllConditionedJordan):
-                    cluster.chains()
-                norm = np.linalg.norm(cluster.m, 2)
-                assert abs(cluster.sig - norm) <= band * norm
-                if len(cluster.bases) > 2:
+                m, kernel, sig = cluster._first
+                norm = np.linalg.norm(m, 2)
+                assert abs(sig - norm) <= band * norm
+                if 0 < kernel.shape[1] < cluster.alg_mult:  # the chains take m^2
                     steps += 1
-                    sv = np.linalg.svd(cluster.m @ cluster.m, compute_uv=False)
-                    cut = max(RANK_RTOL * sv[0], 4.0 * cluster.radius * max(1.0, cluster.sig))
+                    sv = np.linalg.svd(m @ m, compute_uv=False)
+                    rounding = np.finfo(float).eps * max(abs(cluster.lam), sig) * sig
+                    cut = max(RANK_RTOL * sv[0],
+                              4.0 * max(cluster.radius * max(1.0, sig), rounding))
                     assert (np.abs(sv - cut) > band * cut).all()
     assert steps >= 100
+
+
+@pytest.mark.parametrize("cluster_tol", [CLUSTER_TOL, 1e-4])
+def test_filtration_nullities_never_fall(monkeypatch, cluster_tol):
+    # ker(m^k) lies in ker(m^{k+1}); a cut relative to ||m^k||, which
+    # vanishes with m^k, once read a chain alone in its matrix as nullity 1
+    # at power 1 and 0 at power 2
+    nullities = []
+    nullspace = ddsim.spectral._nullspace
+
+    def recording(m, extra_tol=0.0):
+        basis, sig = nullspace(m, extra_tol)
+        nullities.append(basis.shape[1])
+        return basis, sig
+
+    monkeypatch.setattr(ddsim.spectral, "_nullspace", recording)
+    rng = np.random.default_rng(23)
+    filtrations = 0
+    for draw in range(120):
+        a = chain_matrix(rng, ("real", "pair")[draw % 2], 2 + draw // 2 % 3)
+        nullities.clear()
+        with contextlib.suppress(ClusterAmbiguity, IllConditionedJordan):
+            _Spectrum(a, cluster_tol).basis()
+        # one chain makes at most one repeated cluster, its powers in order
+        assert nullities == sorted(nullities), draw
+        filtrations += len(nullities) > 1
+    assert filtrations >= 30
+
+
+@pytest.mark.parametrize("length, gap", [(2, 1e-5), (2, -1e-4), (2, 1e-3), (3, 3e-4),
+                                         (3, -1e-3)])
+def test_chain_beside_a_near_eigenvalue_gains_one_per_power(monkeypatch, length, gap):
+    # eig returns a triangular matrix's diagonal exactly, so the chain's
+    # cluster has radius 0; a cut of RANK_RTOL * ||m||^k once read the simple
+    # eigenvalue gap away, with gap^k far above rounding, into the chain's
+    # kernel at its last power
+    nullities = []
+    nullspace = ddsim.spectral._nullspace
+
+    def recording(m, extra_tol=0.0):
+        basis, sig = nullspace(m, extra_tol)
+        nullities.append(basis.shape[1])
+        return basis, sig
+
+    monkeypatch.setattr(ddsim.spectral, "_nullspace", recording)
+    a = np.diag([-2.0] * length + [-2.0 + gap])
+    a[np.arange(length - 1), np.arange(1, length)] = 1.0
+    for b in (a, a[::-1, ::-1].copy()):
+        nullities.clear()
+        _Spectrum(b, CLUSTER_TOL).basis()
+        assert nullities == list(range(1, length + 1))
 
 
 def test_jordan_random_recovery_and_invariants():

@@ -190,26 +190,30 @@ def test_failed_filtration_step_changes_nothing(monkeypatch):
     a = chain_matrix(np.random.default_rng(6), "real", 3)
     (cluster,) = _Spectrum(a, 1e-4).clusters[0]
     assert cluster.geo_mult == 1
-    state = (len(cluster.bases), cluster.power.tobytes(), cluster.sig)
+    first = cluster._first
+    state = [m.tobytes() for m in first[:2]] + [first[2]]
     nullspace = ddsim.spectral._nullspace
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
+    # the power-2 SVD fails: no chains are kept, and the first power stays
     monkeypatch.setattr(ddsim.spectral, "_nullspace", failing)
     with pytest.raises(np.linalg.LinAlgError):
-        cluster.chains()
-    assert (len(cluster.bases), cluster.power.tobytes(), cluster.sig) == state
+        cluster.chains
+    assert "chains" not in vars(cluster)
+    assert cluster._first is first
+    assert [m.tobytes() for m in first[:2]] + [first[2]] == state
     monkeypatch.setattr(ddsim.spectral, "_nullspace", nullspace)
     (fresh,) = _Spectrum(a, 1e-4).clusters[0]
-    assert [[v.tobytes() for v in chain] for chain in cluster.chains()] == \
-        [[v.tobytes() for v in chain] for chain in fresh.chains()]
+    assert [[v.tobytes() for v in chain] for chain in cluster.chains] == \
+        [[v.tobytes() for v in chain] for chain in fresh.chains]
 
 
 def test_chains_are_built_once():
     a = chain_matrix(np.random.default_rng(8), "pair", 3)
     (cluster,) = _Spectrum(a, 1e-4).clusters[1]
-    assert cluster.chains() is cluster.chains()
+    assert cluster.chains is cluster.chains
 
 
 def test_refused_basis_is_not_kept():
