@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +82,32 @@ def is_borderline(alpha: float, beta: float, tol: float = BORDERLINE_TOL) -> boo
     return abs(abs(alpha) - abs(beta)) <= _tolerance(tol) * (abs(alpha) + abs(beta))
 
 
-#: Per case of an eigenvalue or pair ``e``: does it permit dominance, and its evidence.
+#: The verdicts, best to worst, as :class:`Verdict` declares them.
+_BEST_TO_WORST = tuple(Verdict)
+#: Per case of an eigenvalue or pair ``e``: the best verdict it allows, its slack in a
+#: real certificate (the row dominance ``|lambda|`` or ``|alpha| - |beta|``, or None,
+#: which pins a boundary pair; no slack when it permits no dominance) and its evidence.
+_Case = namedtuple("_Case", "verdict slack condition")
 _CASES = {
-    "real-zero": (False, "|{e.value:.6g}| <= {zero_tol:.3e}"),
-    "real-nonzero": (True, "|{e.value:.6g}| > 0"),
-    "pair-zero": (False, "modulus {e.modulus:.6g} <= {zero_tol:.3e}"),
-    "pair-borderline-semisimple": (True, "|alpha| = |beta| within {tol:.3e}, non-defective"),
-    "pair-borderline-defective": (False, "|alpha| = |beta| within {tol:.3e}, "
-                                         "geometric {e.geo_mult} < algebraic {e.alg_mult}"),
-    "pair-dominant": (True, "|{e.alpha:.6g}| > |{e.beta:.6g}|"),
-    "pair-subdominant": (False, "|{e.alpha:.6g}| < |{e.beta:.6g}|"),
+    "real-zero": _Case(Verdict.OUT_OF_SCOPE_SINGULAR, None, "|{e.value:.6g}| <= {zero_tol:.3e}"),
+    "real-nonzero": _Case(Verdict.STRICT_ACHIEVABLE, lambda e: abs(e.value),
+                          "|{e.value:.6g}| > 0"),
+    "pair-zero": _Case(Verdict.OUT_OF_SCOPE_SINGULAR, None,
+                       "modulus {e.modulus:.6g} <= {zero_tol:.3e}"),
+    "pair-borderline-semisimple": _Case(Verdict.NON_STRICT_ONLY, lambda e: None,
+                                        "|alpha| = |beta| within {tol:.3e}, non-defective"),
+    "pair-borderline-defective": _Case(Verdict.IMPOSSIBLE, None,
+                                       "|alpha| = |beta| within {tol:.3e}, "
+                                       "geometric {e.geo_mult} < algebraic {e.alg_mult}"),
+    "pair-dominant": _Case(Verdict.STRICT_ACHIEVABLE, lambda e: abs(e.alpha) - abs(e.beta),
+                           "|{e.alpha:.6g}| > |{e.beta:.6g}|"),
+    "pair-subdominant": _Case(Verdict.IMPOSSIBLE, None, "|{e.alpha:.6g}| < |{e.beta:.6g}|"),
 }
+
+
+def _worst(verdicts) -> Verdict:
+    """The worst of ``verdicts``, the one latest in :data:`_BEST_TO_WORST`."""
+    return max(verdicts, key=_BEST_TO_WORST.index)
 
 
 def _case(e, tol: float, zero_tol: float) -> str:
@@ -113,14 +129,7 @@ def _cases(structure: EigenStructure, tol: float, scale: float):
     verdict, and the zero band ``tol * scale`` (``scale = _scale(a)``)."""
     zero_tol = tol * scale
     cases = [(e, _case(e, tol, zero_tol)) for e in structure.real_eigs + structure.complex_pairs]
-    failed = {case for _, case in cases if not _CASES[case][0]}
-    if failed & {"real-zero", "pair-zero"}:
-        return cases, Verdict.OUT_OF_SCOPE_SINGULAR, zero_tol
-    if failed:
-        return cases, Verdict.IMPOSSIBLE, zero_tol
-    if any(case == "pair-borderline-semisimple" for _, case in cases):
-        return cases, Verdict.NON_STRICT_ONLY, zero_tol
-    return cases, Verdict.STRICT_ACHIEVABLE, zero_tol
+    return cases, _worst(_CASES[case].verdict for _, case in cases), zero_tol
 
 
 def _kept_cases(spectrum, tol: float):
@@ -140,7 +149,8 @@ def _classification(structure: EigenStructure, tol: float, table) -> DDClassific
         kind = case.partition("-")[0]
         evidence.append(Finding(
             kind, (e.value,) if kind == "real" else (e.alpha, e.beta), e.alg_mult, e.geo_mult,
-            case, _CASES[case][1].format(e=e, tol=tol, zero_tol=zero_tol), _CASES[case][0]))
+            case, _CASES[case].condition.format(e=e, tol=tol, zero_tol=zero_tol),
+            _CASES[case].slack is not None))
     borderline = tuple(f.value for f in evidence if "borderline" in f.case)
     return DDClassification(verdict=verdict, evidence=tuple(evidence),
                             borderline_pairs=borderline, structure=structure)
@@ -220,14 +230,11 @@ def params_feasible(alpha: float, beta: float, x: float, y: float,
 
     Non-strict form: ``|alpha - x| >= sqrt(beta^2+x^2)/|y|`` and
     ``|alpha + x| >= |y| sqrt(beta^2+x^2)``.  Raises ``ValueError`` for a
-    non-finite argument.
+    non-finite argument, then for what :class:`TwoByTwoParams` rejects.
     """
     if not all(map(math.isfinite, (alpha, beta, x, y))):
         raise ValueError("alpha, beta, x and y must be finite")
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    if y == 0:
-        raise ValueError("y must be nonzero")
+    TwoByTwoParams(alpha, beta, x, y)
     r = math.hypot(beta, x)
     m1 = abs(alpha - x) - r / abs(y)
     m2 = abs(alpha + x) - r * abs(y)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
 from .classify import BORDERLINE_TOL, Verdict, classify
 from .construct import Target, build_complex_dd_transform, build_real_dd_transform
-from .core import Axis
+from .core import Axis, _tolerance
 from .errors import (ClusterAmbiguity, IllConditionedJordan, MatrixParseError,
                      NotAchievable, NumericallySingular, PreconditionViolated,
                      SingularInput, SingularTransform)
@@ -52,16 +51,17 @@ _VERDICT_EXIT = {
 }
 
 
-def _tolerance(text: str) -> float:
-    """``--tol`` value: a finite number, at least 0."""
+def _tol_argument(text: str) -> float:
+    """``--tol`` value: a number that :func:`ddsim.core._tolerance` accepts."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
+    try:
+        return _tolerance(value)
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return value
+            f"must be a finite number >= 0, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"),
                        help="input format; default by file extension")
         if tol is not None:
-            p.add_argument("--tol", type=_tolerance, default=tol,
+            p.add_argument("--tol", type=_tol_argument, default=tol,
                            help="decision tolerance, finite and >= 0 "
                                 "(default per subcommand)")
         p.add_argument("--out", help="also write the output document here")

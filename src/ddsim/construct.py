@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import BORDERLINE_TOL, Verdict, _case, _kept_cases
+from .classify import _CASES, BORDERLINE_TOL, Verdict, _case, _kept_cases, _worst
 from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexPair, RealEigenvalue, RealJordanBlock,
@@ -57,12 +57,6 @@ class SimilarityCertificate:
     residual: float
     target: Target
 
-
-#: A certificate's slack for a cluster in each case a target permits: the row
-#: dominance ``|lambda|`` or ``|alpha| - |beta|``, or None, which pins a boundary pair.
-_SLACKS = {"real-nonzero": lambda e: abs(e.value),
-           "pair-dominant": lambda e: abs(e.alpha) - abs(e.beta),
-           "pair-borderline-semisimple": lambda e: None}
 
 #: The refusal of a block by :func:`scale_jordan_to_dd`, by case; "strict-borderline" is any
 #: boundary pair under the strict target.
@@ -156,7 +150,7 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
         key = "strict-borderline" if target is Target.STRICT and "borderline" in case else case
         if key in _REFUSALS:
             raise PreconditionViolated(_REFUSALS[key].format(b=b), offender=b)
-        slacks.append(_SLACKS[case](e))
+        slacks.append(_CASES[case].slack(e))
     d, b_mat = _scaled(jordan.blocks, sum(b.dim for b in jordan.blocks), slacks, margin)
     return np.diag(d), b_mat
 
@@ -178,15 +172,13 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
     cases, verdict, _ = _kept_cases(spectrum, tol)
-    allowed = {Target.STRICT: (Verdict.STRICT_ACHIEVABLE,),
-               Target.NON_STRICT: (Verdict.STRICT_ACHIEVABLE,
-                                   Verdict.NON_STRICT_ONLY)}[target]
-    if verdict not in allowed:
+    own = Verdict.STRICT_ACHIEVABLE if target is Target.STRICT else Verdict.NON_STRICT_ONLY
+    if _worst((verdict, own)) is not own:
         raise NotAchievable(
             f"verdict {verdict.value} does not permit target {target.value}",
             classification=verdict)
 
-    return _certified(spectrum, target, [_SLACKS[case](e) for e, case in cases],
+    return _certified(spectrum, target, [_CASES[case].slack(e) for e, case in cases],
                       "constructed matrix misses the dominance target; the input "
                       "is too close to a classification boundary")
 

@@ -8,8 +8,10 @@ from _gen import chain_matrix, spectrum_matrix
 from ddsim import (Axis, Target, Verdict, build_complex_dd_transform, build_real_dd_transform,
                    certificate_tol, classify, is_diag_dominant, real_jordan_form,
                    scale_jordan_to_dd, similarity_residual)
+from ddsim.construct import _certified
 from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
                           SingularInput)
+from ddsim.spectral import CLUSTER_TOL, _Spectrum
 
 
 def _check_certificate(a, cert):
@@ -481,3 +483,14 @@ def test_chain_beside_a_near_eigenvalue_is_built(length, gap, c, reverse):
     assert sizes == [1, length]
     _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
     _check_certificate(a, build_complex_dd_transform(a))
+
+
+def test_certificate_that_misses_dominance_is_refused():
+    # a slack of 100 weights the chain by rho = 2, which leaves the coupling
+    # at 1/2, above the row dominance 0.1 of [[-0.1, 1], [0, -0.1]]
+    spectrum = _Spectrum(np.array([[-0.1, 1.0], [0.0, -0.1]]), CLUSTER_TOL)
+    with pytest.raises(IllConditionedJordan) as info:
+        _certified(spectrum, Target.STRICT, [100.0], "missed the target")
+    assert str(info.value) == "missed the target"
+    # the slack the case table gives, 0.1, is met
+    assert _certified(spectrum, Target.STRICT, [0.1], "missed the target").dominance.strict

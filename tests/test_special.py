@@ -5,6 +5,7 @@ from _gen import hurwitz_h_matrix, metzler_hurwitz_matrix
 from ddsim import (DiagonalSign, comparison_matrix, h_matrix_scaling,
                    is_h_matrix, is_hurwitz, is_m_matrix, is_metzler,
                    is_z_matrix, metzler_hurwitz_scaling)
+import ddsim.special
 from ddsim.errors import NumericallySingular, PreconditionViolated
 
 
@@ -116,6 +117,32 @@ def test_metzler_scaling_refuses_a_numerically_singular_comparison_matrix():
     a = [[-1.0, 1.0], [1.0 - 1e-13, -1.0]]
     with pytest.raises(NumericallySingular, match="comparison matrix is numerically singular"):
         metzler_hurwitz_scaling(a, tol=0.0)
+
+
+def test_scaling_vector_with_a_nonpositive_entry_is_refused():
+    # the comparison matrix [[1, -2], [-2, 1]] is nonsingular but not an
+    # M-matrix: M d = 1 gives d = (-1, -1)
+    with pytest.raises(NumericallySingular) as info:
+        ddsim.special._positive_scaling(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert str(info.value) == ("scaling vector has nonpositive entries; the comparison "
+                               "matrix is not a usable M-matrix at working precision")
+
+
+def test_scaled_matrix_that_misses_strict_dominance_is_refused(monkeypatch):
+    # the margins are 1 / d_i before rounding, and no M-matrix that passes the
+    # singularity test has been seen to lose one to rounding; a similarity
+    # whose first row loses its dominance stands in for such a loss
+    similarity = ddsim.special._diag_similarity
+
+    def lossy(a, d):
+        b = similarity(a, d)
+        b[0, 1] = 2.0 * abs(b[0, 0])
+        return b
+
+    monkeypatch.setattr(ddsim.special, "_diag_similarity", lossy)
+    with pytest.raises(NumericallySingular) as info:
+        metzler_hurwitz_scaling([[-2.0, 1.0], [1.0, -2.0]])
+    assert str(info.value) == "scaled matrix misses strict dominance at working precision"
 
 
 def test_random_m_matrix_solves_positive():

@@ -241,6 +241,48 @@ def test_chain_beside_a_near_eigenvalue_gains_one_per_power(monkeypatch, length,
         assert nullities == list(range(1, length + 1))
 
 
+def _chain(length):
+    """The real Jordan chain of ``length`` at -2: eig returns its diagonal exactly."""
+    return -2.0 * np.eye(length) + np.eye(length, k=1)
+
+
+def test_filtration_that_stops_growing_is_refused_as_saturated(monkeypatch):
+    # power 2 is made to keep the nullity 1 of power 1, so the filtration
+    # stops below the algebraic multiplicity 3
+    nullspace = ddsim.spectral._nullspace
+    calls = []
+
+    def stalled(m, extra_tol=0.0):
+        basis, sig = nullspace(m, extra_tol)
+        calls.append(basis.shape[1])
+        return (basis[:, :1] if len(calls) == 2 else basis), sig
+
+    monkeypatch.setattr(ddsim.spectral, "_nullspace", stalled)
+    with pytest.raises(IllConditionedJordan) as info:
+        _Spectrum(_chain(3), CLUSTER_TOL).basis()
+    assert str(info.value) == ("nullspace filtration saturated at 1 < algebraic "
+                               "multiplicity 3 near eigenvalue -2")
+    assert calls == [1, 2]
+
+
+def test_chain_top_inside_the_lower_kernel_is_refused(monkeypatch):
+    # power 2 is made to return ker m twice: its nullity is right, but no
+    # direction of it lies outside ker m to start the chain of length 2
+    nullspace = ddsim.spectral._nullspace
+    kernels = []
+
+    def repeated(m, extra_tol=0.0):
+        basis, sig = nullspace(m, extra_tol)
+        kernels.append(basis)
+        return (np.hstack([kernels[0]] * 2) if len(kernels) == 2 else basis), sig
+
+    monkeypatch.setattr(ddsim.spectral, "_nullspace", repeated)
+    with pytest.raises(IllConditionedJordan) as info:
+        _Spectrum(_chain(2), CLUSTER_TOL).basis()
+    assert str(info.value) == "cannot separate 1 chain top(s) at height 2 near eigenvalue -2"
+    assert len(kernels) == 2
+
+
 def test_jordan_random_recovery_and_invariants():
     rng = np.random.default_rng(17)
     for _ in range(50):
