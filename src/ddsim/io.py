@@ -1,8 +1,9 @@
 """Matrix file ingestion and deterministic JSON emission.
 
 Accepted formats: JSON ``{"n": int, "rows": [[...], ...]}`` and CSV with
-``n`` lines of ``n`` comma-separated decimal literals.  Emission formats
-floats with 17 significant digits (round-trip exact for doubles) and is
+``n`` lines of ``n`` comma-separated decimal literals, both read as UTF-8
+with an optional byte-order mark at the start.  Emission formats floats
+with 17 significant digits (round-trip exact for doubles) and is
 byte-deterministic for a given document.
 """
 
@@ -82,7 +83,7 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     if fmt is None:
         fmt = "json" if p.suffix.lower() == ".json" else "csv"
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {p}: {exc}") from None
     if fmt == "json":

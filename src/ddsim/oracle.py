@@ -11,6 +11,8 @@ the scan decisive on the boundary as well.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -46,6 +48,56 @@ def _with_anchor(vals, lo, hi, anchor):
     return vals
 
 
+@functools.lru_cache(maxsize=8)
+def _axes(endpoints: bytes, steps: int):
+    """The grid's x values, its |y| magnitudes and ``ext``, the magnitudes
+    between a 0 and a padding of infs to ``2**k + 1`` entries, read-only.
+
+    ``endpoints`` is ``x_lo, x_hi, y_lo, y_hi`` packed as four doubles, so
+    the key is their bits: -0.0 and 0.0 start different grids.
+    """
+    x_lo, x_hi, y_lo, y_hi = struct.unpack("4d", endpoints)
+    with np.errstate(all="ignore"):
+        xs = _with_anchor(np.linspace(x_lo, x_hi, steps), x_lo, x_hi, 0.0)
+        mags = _with_anchor(np.logspace(np.log10(y_lo), np.log10(y_hi), steps // 2),
+                            y_lo, y_hi, 1.0)
+    n = len(mags)
+    ext = np.concatenate(([0.0], mags, np.full((1 << n.bit_length()) - n, np.inf)))
+    xs.flags.writeable = ext.flags.writeable = False
+    return xs, ext[1:n + 1], ext
+
+
+def _cuts(r, d1, d2, mags, ext):
+    """Per x row, the number of magnitudes at which m1 < m2.
+
+    Along a row, m1 = d1 - r / |y| never falls and m2 = d2 - r * |y| never
+    rises as |y| grows (rounded arithmetic is monotone), so m1 < m2 holds on
+    a prefix of ``ext``, of length cut + 1; the row's best min(m1, m2) is
+    max(m1 at ext[cut], m2 at ext[cut + 1]).  In exact arithmetic m1 < m2
+    when |y| - 1 / |y| < c = (d2 - d1) / r, that is below the positive root
+    of t^2 - c t - 1, which proposes each row's cut.  The rounded predicate
+    confirms it, true at the cut and false at the cut + 1, and only the rows
+    it refutes are bisected, so every cut is the rounded predicate's own.
+    ``ext``'s 0, where m1 is -inf, and infs, where m2 is -inf and m1 >= m2,
+    mean that no index needs a bounds test.
+    """
+    c = (d2 - d1) / r
+    # the root for |c|, whose reciprocal is the root for -|c|: neither form
+    # cancels, and an overflow only proposes a cut that the check refutes
+    root = 0.5 * (np.abs(c) + np.hypot(c, 2.0))
+    cut = np.searchsorted(mags, np.where(c < 0.0, 1.0 / root, root))
+    lo, hi = ext[cut], ext[cut + 1]
+    miss = np.flatnonzero(~(d1 - r / lo < d2 - r * lo) | (d1 - r / hi < d2 - r * hi))
+    if miss.size:
+        r, d1, d2 = r[miss], d1[miss], d2[miss]
+        bisected = np.zeros(miss.size, dtype=np.intp)
+        for b in reversed(range(len(mags).bit_length())):
+            m = ext[bisected + (1 << b)]
+            bisected += (d1 - r / m < d2 - r * m) << b
+        cut[miss] = bisected
+    return cut
+
+
 def _check_count(name, value, least):
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}")
@@ -69,9 +121,15 @@ def grid_search_2x2(alpha: float, beta: float,
     (negative when every point violates dominance).
 
     The results are those of evaluating every grid point, at a cost of
-    O(steps log steps) margins and O(steps) memory: each x row's best
-    margin is found by bisection over |y|, and only the first row that
-    holds a feasible point is evaluated in full.  Raises ``ValueError``
+    O(steps) margins and one binary search over |y| per x row, and
+    O(steps) memory: each row's best margin lies at the cut where m1 < m2
+    stops holding, which a closed form proposes and the rounded margins
+    confirm (``_cuts``); a row whose proposal they refute is bisected, in
+    O(log steps) margins.  Only the first row that holds a feasible point
+    is evaluated in full.  The axes are built once per grid and cached,
+    keyed on ``steps`` and the bits of the four endpoints: the cache keeps
+    the last 8 grids, each at most 16 * (steps + 2) bytes (about 3.2 MB
+    at ``steps = 200_000``).  Raises ``ValueError``
     when the grid overflows, that is when an ``x``, ``hypot(beta, x)`` or
     ``|alpha -+ x|`` is not finite (for instance a range so wide that its
     step overflows).
@@ -88,36 +146,21 @@ def grid_search_2x2(alpha: float, beta: float,
     if not 0.0 < y_lo <= y_hi:
         raise ValueError("y magnitude range must be positive")
 
+    xs, mags, ext = _axes(struct.pack("4d", x_lo, x_hi, y_lo, y_hi), steps)
     # An overflowing x, r or |alpha -+ x| is an error, checked below; an
     # overflowing r / |y| or r * |y| is a margin of -inf.
     with np.errstate(all="ignore"):
-        xs = _with_anchor(np.linspace(x_lo, x_hi, steps), x_lo, x_hi, 0.0)
         r = np.hypot(beta, xs)
         d1 = np.abs(alpha - xs)
         d2 = np.abs(alpha + xs)
         if not all(np.isfinite(v).all() for v in (r, d1, d2)):
             raise ValueError("the grid overflows: x, hypot(beta, x) and "
                              "|alpha -+ x| must be finite")
-        mags = _with_anchor(np.logspace(np.log10(y_lo), np.log10(y_hi), steps // 2),
-                            y_lo, y_hi, 1.0)
-        n = len(mags)
-        samples = len(xs) * 2 * n
-
-        # Along a row, m1 = d1 - r / |y| never falls and m2 = d2 - r * |y|
-        # never rises as |y| grows (rounded arithmetic is monotone), so
-        # m1 < m2 holds on a prefix of mags.  Bisect for its length in every
-        # row at once; the row's best min(m1, m2) is max(m1[cut - 1], m2[cut]).
-        # ext is mags between a 0, where m1 is -inf, and infs, where m2 is
-        # -inf and m1 >= m2, so no index needs a bounds test.  Each margin
-        # is the full scan's expression, so it equals that scan's bit for bit.
-        k = n.bit_length()
-        ext = np.concatenate(([0.0], mags, np.full((1 << k) - n, np.inf)))
-        cut = np.zeros(len(xs), dtype=np.intp)
-        for b in reversed(range(k)):
-            m = ext[cut + (1 << b)]
-            cut += (d1 - r / m < d2 - r * m) << b
+        samples = len(xs) * 2 * len(mags)
+        # each margin is the full scan's expression, so it equals that
+        # scan's bit for bit
+        cut = _cuts(r, d1, d2, mags, ext)
         row_best = np.maximum(d1 - r / ext[cut], d2 - r * ext[cut + 1])
-
         best = float(row_best.max())
         rows = np.flatnonzero(row_best > 0.0 if strict else row_best >= 0.0)
         if not rows.size:

@@ -461,6 +461,28 @@ def test_unreadable_input_exits_1(tmp_path, capsys, name, content):
     assert err.startswith(f"parse error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("name, text", [
+    ("tri.csv", "-2,1\n0,-3\n"),
+    ("tri.json", '{"n": 2, "rows": [[-2, 1], [0, -3]]}'),
+], ids=["csv", "json"])
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path, capsys, name, text):
+    plain = write_json(tmp_path, "plain.json", _GOLDEN_MATRICES["tri"])
+    expected = run(capsys, ["classify", "--input", plain])
+    golden = {name: sha for name, _, sha in CLASSIFY_GOLDEN}["tri"]
+    assert hashlib.sha256(expected[1].encode()).hexdigest() == golden
+    path = tmp_path / name
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert run(capsys, ["classify", "--input", str(path)]) == expected
+
+
+def test_byte_order_mark_after_the_first_line_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "mark.csv"
+    path.write_bytes("-2,1\n\ufeff0,-3\n".encode("utf-8"))
+    code, out, err = run(capsys, ["classify", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: line 2, column 1: not a decimal literal: '\\ufeff0'")
+
+
 def test_classify_large_entries_exit_0(tmp_path, capsys):
     path = write_json(tmp_path, "a.json", [[1e160, 0.0], [0.0, -2e160]])
     code, out, err = run(capsys, ["classify", "--input", path])

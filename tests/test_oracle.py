@@ -1,6 +1,9 @@
 import hashlib
+import struct
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +224,147 @@ def _grid_cases(draw):
 def test_grid_equals_the_dense_scan(case):
     alpha, beta, kwargs = case
     assert _grid_bits(alpha, beta, **kwargs) == _bits(*_dense_grid(alpha, beta, **kwargs))
+
+
+def _bisected_cut(r, d1, d2, mags, ext):
+    """The shift-and-add bisection over every x row that preceded the
+    closed-form cut, kept as the reference ``_cuts`` must match."""
+    cut = np.zeros(len(r), dtype=np.intp)
+    for b in reversed(range(len(mags).bit_length())):
+        m = ext[cut + (1 << b)]
+        cut += (d1 - r / m < d2 - r * m) << b
+    return cut
+
+
+def _proposed_cut(r, d1, d2, mags):
+    """The closed form's cut alone, before the rounded margins check it."""
+    c = (d2 - d1) / r
+    h = np.hypot(c, 2.0)
+    return np.searchsorted(mags, np.where(c < 0.0, 2.0 / (h - c), (c + h) / 2.0))
+
+
+def _grid_rows(alpha, beta, x_range=(-10.0, 10.0), y_abs_range=(0.01, 10.0), steps=400):
+    """The cut ``_cuts`` finds in each x row, the reference's, and the
+    closed form's proposal; None when the grid overflows."""
+    xs, mags, ext = ddsim.oracle._axes(
+        struct.pack("4d", *map(float, (*x_range, *y_abs_range))), steps)
+    with np.errstate(all="ignore"):
+        r = np.hypot(beta, xs)
+        d1 = np.abs(alpha - xs)
+        d2 = np.abs(alpha + xs)
+        if not all(np.isfinite(v).all() for v in (r, d1, d2)):
+            return None
+        return (ddsim.oracle._cuts(r, d1, d2, mags, ext),
+                _bisected_cut(r, d1, d2, mags, ext), _proposed_cut(r, d1, d2, mags))
+
+
+@st.composite
+def _cut_cases(draw):
+    sign = st.sampled_from([-1.0, 1.0])
+    beta = 10.0 ** draw(st.floats(-300, 300)) * draw(sign)
+    if draw(st.booleans()):
+        # a boundary pair, |alpha| within 3 ulps of |beta|
+        alpha = abs(beta) * draw(sign)
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            alpha = float(np.nextafter(alpha, np.inf if ulps > 0 else -np.inf))
+    else:
+        alpha = 10.0 ** draw(st.floats(-300, 300)) * draw(sign)
+    width = 10.0 ** draw(st.floats(-300, 300))
+    x_range = tuple(sorted(draw(st.lists(st.floats(-width, width), min_size=2,
+                                         max_size=2))))
+    y_abs_range = tuple(sorted(10.0 ** np.array(draw(st.lists(st.floats(-300, 300),
+                                                              min_size=2, max_size=2)))))
+    return alpha, beta, x_range, y_abs_range, draw(st.integers(2, 600))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cut_cases())
+def test_cuts_equal_the_bisection(case):
+    rows = _grid_rows(*case)
+    if rows is not None:
+        cut, reference, _ = rows
+        assert cut.tolist() == reference.tolist()
+
+
+#: Grids on which the closed form misses the rounded cut: alpha at 1e16
+#: misses by up to 10 rows, alpha at 1e300 by up to 133, and the last is a
+#: random miss.
+_MISSED = [
+    ((1e16, 1.0), {"x_range": (-1.0, 1.0)}),
+    ((1e300, 1e-300), {}),
+    ((-35697684.12509518, -1.4671291733153291e-08),
+     {"x_range": (-0.050136084252584534, 0.06531797447801764),
+      "y_abs_range": (0.004603395196078397, 4741.07529623238), "steps": 172}),
+]
+
+
+@pytest.mark.parametrize("args, kwargs", _MISSED)
+def test_rows_the_closed_form_misses_are_bisected(args, kwargs):
+    cut, reference, proposed = _grid_rows(*args, **kwargs)
+    assert (proposed != reference).any()
+    assert cut.tolist() == reference.tolist()
+    for strict in (False, True):
+        assert (_grid_bits(*args, **kwargs, strict=strict)
+                == _bits(*_dense_grid(*args, **kwargs, strict=strict)))
+
+
+@pytest.mark.parametrize("ranges, witness_x", [
+    ([(-0.0, 5.0), (0.0, 5.0)], [0.0, 0.0]),
+    ([(0.0, 5.0), (-0.0, 5.0)], [0.0, 0.0]),
+    # linspace ends on x_hi, so the boundary witness is x = -0.0 or 0.0
+    ([(-5.0, -0.0), (-5.0, 0.0)], [-0.0, 0.0]),
+    ([(-5.0, 0.0), (-5.0, -0.0)], [0.0, -0.0]),
+])
+def test_signed_zero_endpoints_are_distinct_grids(ranges, witness_x):
+    ddsim.oracle._axes.cache_clear()
+    for x_range, x in zip(ranges, witness_x):
+        res = _grid_bits(-1.0, 1.0, x_range=x_range)
+        assert res == _bits(*_dense_grid(-1.0, 1.0, x_range=x_range))
+        assert res[1] == (x.hex(), (-1.0).hex())
+
+
+def test_overflowing_grid_raises_on_every_call():
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows") as info:
+            grid_search_2x2(1.0, 1.0, x_range=(-1e308, 1e308))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_integer_and_float_endpoints_share_a_grid():
+    ddsim.oracle._axes.cache_clear()
+    kwargs = {"x_range": (-3, 7), "y_abs_range": (1, 4), "steps": 41}
+    as_floats = {"x_range": (-3.0, 7.0), "y_abs_range": (1.0, 4.0), "steps": 41}
+    expected = _bits(*_dense_grid(1.5, 1.0, **kwargs))
+    assert _grid_bits(1.5, 1.0, **kwargs) == expected
+    assert _grid_bits(1.5, 1.0, **as_floats) == expected
+    info = ddsim.oracle._axes.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+
+
+def test_threads_sharing_cached_grids_get_the_serial_results():
+    grids = [((-1.5, 1.0), {"x_range": (-k, k + 1.0), "steps": 50 + 17 * k})
+             for k in range(6)]
+    expected = [_bits(*_dense_grid(*args, **kwargs)) for args, kwargs in grids]
+    ddsim.oracle._axes.cache_clear()
+    calls = [i % len(grids) for i in range(240)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda i: _grid_bits(*grids[i][0], **grids[i][1]),
+                                    calls, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[i] for i in calls]
+
+
+def test_cached_axes_reject_writes():
+    for array in ddsim.oracle._axes(struct.pack("4d", -1.0, 1.0, 0.5, 2.0), 10):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("args, kwargs, expected", GRID_GOLDEN)
