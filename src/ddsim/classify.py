@@ -23,8 +23,7 @@ import numpy as np
 
 from .core import _scale, _tolerance, as_matrix
 from .errors import DimensionMismatch
-from .spectral import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue,
-                       _forget_on_failure, _spectrum)
+from .spectral import CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, _spectrum
 
 #: Relative half-width of the |alpha| = |beta| boundary band.
 BORDERLINE_TOL = 1e-9
@@ -156,7 +155,6 @@ def _classification(structure: EigenStructure, tol: float, table) -> DDClassific
                             borderline_pairs=borderline, structure=structure)
 
 
-@_forget_on_failure
 def classify(a, tol: float = BORDERLINE_TOL,
              cluster_tol: float = CLUSTER_TOL) -> DDClassification:
     """Full decision over the eigenstructure of ``a``.

@@ -28,7 +28,7 @@ from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexPair, RealEigenvalue, RealJordanBlock,
                        RealJordanForm, _assemble_jordan, _checked_residual, _complex_inverse,
-                       _forget_on_failure, _spectrum, jordan_residual_tol)
+                       _spectrum, jordan_residual_tol)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
 MARGIN_FRACTION = 0.5
@@ -105,12 +105,12 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
 
 def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
     """The certificate ``B = P A P^{-1}`` of ``A = spectrum.a``: ``P = diag(d) inv(Q)`` for
-    the chain basis ``Q`` of ``spectrum.basis()``, or with ``diagonal_cells`` for its complex
+    the chain basis ``Q`` of ``spectrum.basis``, or with ``diagonal_cells`` for its complex
     image (:func:`_complex_inverse`), and ``(d, B)`` from :func:`_scaled`, each chain at the
     entry of ``slacks`` of the cluster that owns it; :class:`IllConditionedJordan` unless
     the residual is within ``certificate_tol`` and ``B`` meets ``target`` (``miss_message``
     for a miss)."""
-    blocks, p_j, owners = spectrum.basis()
+    blocks, p_j, owners = spectrum.basis
     p_j = _complex_inverse(blocks, p_j) if diagonal_cells else p_j
     d, b = _scaled(blocks, len(p_j), [slacks[i] for i in owners], MARGIN_FRACTION,
                    diagonal_cells)
@@ -155,7 +155,6 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     return np.diag(d), b_mat
 
 
-@_forget_on_failure
 def build_real_dd_transform(a, target: Target = Target.STRICT,
                             tol: float = BORDERLINE_TOL,
                             cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
@@ -183,7 +182,6 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
                       "is too close to a classification boundary")
 
 
-@_forget_on_failure
 def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
                                cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
     """Complex ``P`` with ``B = P A P^{-1}`` strictly dominant in magnitude.

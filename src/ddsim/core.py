@@ -74,17 +74,25 @@ def _frobenius(x) -> float:
 
 def _scale(a) -> float:
     """``1 + ||a||_F``, which every absolute threshold is relative to: the
-    cluster band, the zero band and the residual limit.  Finite for every
-    finite ``a``; Jordan chains are not scale-free yet, so a defective
-    eigenvalue is still refused at large scale (their vectors, and from
-    about 1e154 the powers of ``a - lambda I``, grow with ``||a||``)."""
-    return 1.0 + _frobenius(a)
+    cluster band, the zero band and the residual limit.  ``ValueError`` when
+    ``||a||_F`` exceeds the largest float, so the scale is always finite;
+    Jordan chains are not scale-free yet, so a defective eigenvalue is still
+    refused at large scale (their vectors, and from about 1e154 the powers
+    of ``a - lambda I``, grow with ``||a||``)."""
+    scale = 1.0 + _frobenius(a)
+    if scale == math.inf:
+        raise ValueError("matrix Frobenius norm overflows the largest float")
+    return scale
 
 
 def _tolerance(value, name="tol"):
-    """``value`` when it is finite and at least 0, else ``ValueError``: the
-    one rule for every tolerance argument."""
-    if not 0.0 <= value < math.inf:
+    """``value`` when it is a number that is finite and at least 0, else
+    ``ValueError``: the one rule for every tolerance argument."""
+    try:
+        valid = 0.0 <= value < math.inf
+    except TypeError:  # not comparable with a float: None, text, complex
+        valid = False
+    if not valid:
         raise ValueError(f"{name} must be finite and nonnegative")
     return value
 

@@ -10,7 +10,10 @@ Each thread keeps the spectrum of the matrix of its last spectral call
 (:func:`_spectrum`), so ``classify`` followed by the builders on one matrix
 pays for one spectral pass, one ``eig`` and one test and inversion of the
 real chain basis, whose unitary image is the complex one; every call still
-validates its input and verifies its own output.
+validates its input and verifies its own output.  Each lazy record of a
+spectrum is assigned only once it is complete, so a call that raises, for
+any reason, leaves nothing half built and the next call ends as it would
+from an empty slot.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _frobenius, _residual, _scale, _singular_ratio, _tolerance, as_matrix
-from .errors import ClusterAmbiguity, DdsimError, IllConditionedJordan
+from .errors import ClusterAmbiguity, IllConditionedJordan
 
 #: Default relative eigenvalue clustering tolerance.
 CLUSTER_TOL = 1e-7
@@ -259,8 +262,9 @@ def _group(vals, tol, kind):
 
     Returns the groups as index lists (index order inside a group) and their
     means, both ordered by (real, imag) of the mean; a repeated group's mean is
-    numpy's mean of its members.  Raises :class:`ClusterAmbiguity` when two
-    groups nearly touch under the tolerance.
+    numpy's mean of its members, taken in range when their sum overflows.
+    Raises :class:`ClusterAmbiguity` when two groups nearly touch under the
+    tolerance.
     """
     band = AMBIGUITY_FACTOR * tol
     order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
@@ -287,7 +291,15 @@ def _group(vals, tol, kind):
     def members(g):
         return np.array([vals[i] for i in g])
 
-    means = [members(g).mean() if len(g) > 1 else vals[g[0]] for g in groups]
+    def mean(g):
+        """numpy's mean of the members or, where it overflows, ``p`` times the
+        mean of the members over ``p = 2**len(g).bit_length()``, an exact scaling."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = members(g).mean()
+        p = 2.0 ** len(g).bit_length()
+        return plain if np.isfinite(plain) else (members(g) / p).mean() * p
+
+    means = [mean(g) if len(g) > 1 else vals[g[0]] for g in groups]
     order = sorted(range(len(groups)), key=lambda k: (means[k].real, means[k].imag))
     groups = [groups[k] for k in order]
     means = [means[k] for k in order]
@@ -357,11 +369,12 @@ class _Spectrum:
     that every spectral call reads, made here: a matrix they refuse raises
     before any spectrum of it is kept.  :func:`_spectrum` hands the same
     object to each call on the same matrix, so the clusters' chains, the
-    real chain basis with its inverse (:meth:`basis`, built on first use)
-    and the case table of the last ``tol`` (``cases``) are computed once per
+    real chain basis with its inverse (``basis``, built on first use) and
+    the case table of the last ``tol`` (``cases``) are computed once per
     matrix.  ``scale`` is ``_scale(a)``, shared by every band and residual
-    limit; ``a`` must come from :func:`as_matrix`.  Lazy state is assigned
-    only once it is complete, so a step that raises leaves none of it behind.
+    limit; ``a`` must come from :func:`as_matrix`.  The chains and the basis
+    are cached properties and ``cases`` is assigned whole, so a step that
+    raises, whatever it raises, leaves none of its state behind.
     """
 
     def __init__(self, a, cluster_tol):
@@ -370,10 +383,10 @@ class _Spectrum:
         tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
         self.clusters = _clusters(a, *np.linalg.eig(a), tol)
         self.structure = _structure(self.clusters)
-        self._basis = None
         #: ``(tol, table)``: the case table :mod:`ddsim.classify` keeps for the last ``tol``
         self.cases = None
 
+    @functools.cached_property
     def basis(self):
         """``(blocks, inv(Q), owners)`` for the real basis ``Q`` of the
         clusters' Jordan chains, once ``Q`` passes the singular-value ratio
@@ -382,8 +395,6 @@ class _Spectrum:
         clusters first.  Each cluster's chains fill exactly its ``alg_mult``
         coordinates (two per pair), so ``Q`` is square.  The kept ``inv(Q)``
         is read-only; a caller that hands it out copies it."""
-        if self._basis is not None:
-            return self._basis
         real, pairs = self.clusters
         blocks, columns, owners = [], [], []
         for index, cluster in enumerate(real + pairs):
@@ -403,8 +414,7 @@ class _Spectrum:
             raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
         inverse = np.linalg.inv(q)
         inverse.flags.writeable = False
-        self._basis = tuple(blocks), inverse, tuple(owners)
-        return self._basis
+        return tuple(blocks), inverse, tuple(owners)
 
 
 _slot = threading.local()
@@ -418,7 +428,7 @@ def _spectrum(a, cluster_tol):
     ``cluster_tol``.  A call on the same key reuses it; any other call
     replaces it, unless making its spectrum raises: the slot then keeps
     what it held.  Every result is the one a fresh spectrum gives, whatever
-    came before.
+    came before, a failure included: nothing is kept before it is complete.
     """
     key = (a.shape, a.tobytes(), cluster_tol)
     last = getattr(_slot, "last", None)
@@ -434,23 +444,6 @@ def _forget():
     _slot.last = None
 
 
-def _forget_on_failure(call):
-    """``call`` with this thread's spectrum dropped when anything other than
-    a :class:`DdsimError` escapes it, so that no half-built state outlives a
-    failure the program did not anticipate."""
-    @functools.wraps(call)
-    def guarded(*args, **kwargs):
-        try:
-            return call(*args, **kwargs)
-        except DdsimError:
-            raise
-        except BaseException:
-            _forget()
-            raise
-    return guarded
-
-
-@_forget_on_failure
 def eigen_structure(a, cluster_tol: float = CLUSTER_TOL) -> EigenStructure:
     """Eigenvalues of ``a`` grouped into clusters with both multiplicities.
 
@@ -507,7 +500,6 @@ def _complex_inverse(blocks, p):
     return out
 
 
-@_forget_on_failure
 def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     """Real Jordan normal form ``J = P A P^{-1}`` with real ``P``.
 
@@ -521,7 +513,7 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     ``cluster_tol``.
     """
     spectrum = _spectrum(as_matrix(a), cluster_tol)
-    blocks, p, _ = spectrum.basis()
+    blocks, p, _ = spectrum.basis
     _, j = _assemble_jordan(blocks, len(p))
     return RealJordanForm(J=j, P=p.copy(), blocks=blocks, residual=_checked_residual(
         spectrum.a, p, j, spectrum.scale, "Jordan"))

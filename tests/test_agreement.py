@@ -70,8 +70,8 @@ def test_eigenvector_path_matches_filtration(n):
         from_filtration = _Spectrum(a, CLUSTER_TOL)
         for cluster in [c for group in from_filtration.clusters for c in group]:
             del cluster.chains  # the eig eigenvector, set when the cluster is made
-        blocks_eig, p_eig, _ = from_eig.basis()
-        blocks_filtration, p_filtration, _ = from_filtration.basis()
+        blocks_eig, p_eig, _ = from_eig.basis
+        blocks_filtration, p_filtration, _ = from_filtration.basis
         assert blocks_eig == blocks_filtration
         _, j = _assemble_jordan(blocks_eig, len(a))
         assert similarity_residual(a, p_eig, j) <= jordan_residual_tol(a)
@@ -108,7 +108,7 @@ def test_mapped_complex_inverse_matches_direct_inverse(family, size):
             a, cluster_tol = chain_matrix(rng, "pair", size), 1e-4
         spectrum = _Spectrum(as_matrix(a), cluster_tol)
         try:
-            blocks, p, _ = spectrum.basis()
+            blocks, p, _ = spectrum.basis
         except IllConditionedJordan:
             continue
         mapped = _complex_inverse(blocks, p)

@@ -6,8 +6,9 @@ import pytest
 
 from _gen import chain_matrix, spectrum_matrix
 from ddsim import (Axis, Target, Verdict, build_complex_dd_transform, build_real_dd_transform,
-                   certificate_tol, classify, is_diag_dominant, real_jordan_form,
-                   scale_jordan_to_dd, similarity_residual)
+                   certificate_tol, classify, classify_2x2, is_diag_dominant,
+                   jordan_residual_tol, real_jordan_form, scale_jordan_to_dd,
+                   similarity_residual)
 from ddsim.construct import _certified
 from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
                           SingularInput)
@@ -401,6 +402,37 @@ def test_large_entries_keep_finite_thresholds(c, family):
     assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE
     assert np.isfinite(certificate_tol(a))
     _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
+    _check_certificate(a, build_complex_dd_transform(a))
+
+
+@pytest.mark.parametrize("call", [
+    classify,
+    classify_2x2,
+    lambda a: build_real_dd_transform(a, Target.STRICT),
+    build_complex_dd_transform,
+    lambda a: similarity_residual(a, np.eye(2), 0.5 * a),
+    jordan_residual_tol,
+], ids=["classify", "classify_2x2", "build_real", "build_complex", "similarity_residual",
+        "jordan_residual_tol"])
+def test_overflowing_frobenius_norm_is_refused(call):
+    # finite entries whose ||A||_F = 2e308 exceeds the largest float: an
+    # infinite scale once read this nonsingular matrix as OutOfScopeSingular
+    # and accepted (A, I, A / 2) as similar
+    a = 1e308 * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="^matrix Frobenius norm overflows the largest float$"):
+        call(a)
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([-6e307] * 3),
+    np.kron(np.eye(3), 3.1e307 * np.array([[-2.0, 1.0], [-1.0, -2.0]])),
+], ids=["real", "pair"])
+def test_repeated_cluster_whose_sum_overflows_is_certified(a):
+    # ||A||_F is finite, but the sum of the three members is not: the mean
+    # is taken from the members divided by 4, with no overflow warning
+    assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE
+    for target in Target:
+        _check_certificate(a, build_real_dd_transform(a, target))
     _check_certificate(a, build_complex_dd_transform(a))
 
 

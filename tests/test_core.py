@@ -256,7 +256,7 @@ _TOLERANCE_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), None, "1e-9", 1j])
 @pytest.mark.parametrize("argument", list(_TOLERANCE_ARGUMENTS))
 def test_every_tolerance_argument_must_be_finite_and_nonnegative(argument, value):
     name = argument.split("-")[1]

@@ -210,7 +210,7 @@ def test_filtration_nullities_never_fall(monkeypatch, cluster_tol):
         a = chain_matrix(rng, ("real", "pair")[draw % 2], 2 + draw // 2 % 3)
         nullities.clear()
         with contextlib.suppress(ClusterAmbiguity, IllConditionedJordan):
-            _Spectrum(a, cluster_tol).basis()
+            _Spectrum(a, cluster_tol).basis
         # one chain makes at most one repeated cluster, its powers in order
         assert nullities == sorted(nullities), draw
         filtrations += len(nullities) > 1
@@ -237,7 +237,7 @@ def test_chain_beside_a_near_eigenvalue_gains_one_per_power(monkeypatch, length,
     a[np.arange(length - 1), np.arange(1, length)] = 1.0
     for b in (a, a[::-1, ::-1].copy()):
         nullities.clear()
-        _Spectrum(b, CLUSTER_TOL).basis()
+        _Spectrum(b, CLUSTER_TOL).basis
         assert nullities == list(range(1, length + 1))
 
 
@@ -259,7 +259,7 @@ def test_filtration_that_stops_growing_is_refused_as_saturated(monkeypatch):
 
     monkeypatch.setattr(ddsim.spectral, "_nullspace", stalled)
     with pytest.raises(IllConditionedJordan) as info:
-        _Spectrum(_chain(3), CLUSTER_TOL).basis()
+        _Spectrum(_chain(3), CLUSTER_TOL).basis
     assert str(info.value) == ("nullspace filtration saturated at 1 < algebraic "
                                "multiplicity 3 near eigenvalue -2")
     assert calls == [1, 2]
@@ -278,7 +278,7 @@ def test_chain_top_inside_the_lower_kernel_is_refused(monkeypatch):
 
     monkeypatch.setattr(ddsim.spectral, "_nullspace", repeated)
     with pytest.raises(IllConditionedJordan) as info:
-        _Spectrum(_chain(2), CLUSTER_TOL).basis()
+        _Spectrum(_chain(2), CLUSTER_TOL).basis
     assert str(info.value) == "cannot separate 1 chain top(s) at height 2 near eigenvalue -2"
     assert len(kernels) == 2
 

@@ -2,6 +2,7 @@
 call ends as it does from an empty slot, whatever ran before it, and the
 slot misses whenever the matrix, its tolerance or the thread differ."""
 
+import functools
 import threading
 from collections import Counter
 
@@ -144,10 +145,54 @@ def test_call_after_classify_makes_no_solve(solves, name):
     assert solves == {"eig": 1}
 
 
-def test_untyped_failure_empties_the_slot(monkeypatch):
-    a = spectrum_matrix(np.random.default_rng(7), 6)
+#: A separated spectrum, a real length-2 chain and a pair length-2 chain.
+_FAILING = {
+    "separated": spectrum_matrix(np.random.default_rng(7), 6),
+    "real chain": chain_matrix(np.random.default_rng(10), "real", 2),
+    "pair chain": chain_matrix(np.random.default_rng(11), "pair", 2),
+}
+
+
+@functools.cache
+def _cold_ends(matrix):
+    """How each of :data:`CALLS` ends on ``_FAILING[matrix]`` from an empty slot."""
+    ends = {}
+    for name, call in CALLS.items():
+        _forget()
+        ends[name] = _end(call, _FAILING[matrix])
+    return ends
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("function", ["svd", "inv"])
+@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("matrix", sorted(_FAILING))
+def test_untyped_failure_leaves_every_call_as_from_an_empty_slot(monkeypatch, matrix, name,
+                                                                 function, k):
+    # the first k calls of np.linalg.<function> go through and the next one
+    # raises, wherever the call is in the spectrum, its chains or its basis
+    a, cold = _FAILING[matrix], _cold_ends(matrix)
+    _forget()
+    real, made = getattr(np.linalg, function), []
+
+    def failing(*args, **kwargs):
+        made.append(None)
+        if len(made) == k + 1:
+            raise np.linalg.LinAlgError(f"{function} did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, function, failing)
+    _end(CALLS[name], a)
+    monkeypatch.setattr(np.linalg, function, real)
+    assert {other: _end(call, a) for other, call in CALLS.items()} == cold
+
+
+def test_untyped_failure_keeps_the_spectrum(monkeypatch, solves):
+    # the spectrum classify made is complete, so a build that fails on its
+    # way to the basis leaves it kept, and the retry solves nothing again
+    a = _FAILING["separated"]
     classify(a)
-    assert ddsim.spectral._slot.last is not None
+    svd = np.linalg.svd
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -155,7 +200,9 @@ def test_untyped_failure_empties_the_slot(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", failing)
     with pytest.raises(np.linalg.LinAlgError):
         build_real_dd_transform(a)
-    assert ddsim.spectral._slot.last is None
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    build_real_dd_transform(a)
+    assert solves == {"eig": 1}
 
 
 #: Matrices whose spectrum every call refuses while it is made, with the
@@ -225,8 +272,8 @@ def test_refused_basis_is_not_kept():
     for _ in range(2):
         with pytest.raises(IllConditionedJordan,
                            match="Jordan basis is numerically singular") as refusal:
-            spectrum.basis()
-        assert spectrum._basis is None
+            spectrum.basis
+        assert "basis" not in vars(spectrum)
         ends.append(str(refusal.value))
     assert ends[0] == ends[1]
 
