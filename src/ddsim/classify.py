@@ -62,7 +62,8 @@ class DDClassification:
 @dataclass(frozen=True)
 class TwoByTwoParams:
     """Parameters (x, y) of the family of real 2x2 matrices similar to the
-    rotation-like cell ``[[alpha, beta], [-beta, alpha]]``."""
+    rotation-like cell ``[[alpha, beta], [-beta, alpha]]``: all four finite,
+    ``beta`` and ``y`` nonzero."""
 
     alpha: float
     beta: float
@@ -70,6 +71,8 @@ class TwoByTwoParams:
     y: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.x, self.y))):
+            raise ValueError("alpha, beta, x and y must be finite")
         if self.beta == 0:
             raise ValueError("beta must be nonzero")
         if self.y == 0:
@@ -77,7 +80,10 @@ class TwoByTwoParams:
 
 
 def is_borderline(alpha: float, beta: float, tol: float = BORDERLINE_TOL) -> bool:
-    """Whether ``|alpha| = |beta|`` within the relative tolerance band."""
+    """Whether ``|alpha| = |beta|`` within the relative tolerance band, for a
+    finite ``alpha`` and ``beta`` (else ``ValueError``)."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite")
     return abs(abs(alpha) - abs(beta)) <= _tolerance(tol) * (abs(alpha) + abs(beta))
 
 
@@ -227,11 +233,9 @@ def params_feasible(alpha: float, beta: float, x: float, y: float,
     """Do both row-dominance inequalities hold for the parametrised matrix?
 
     Non-strict form: ``|alpha - x| >= sqrt(beta^2+x^2)/|y|`` and
-    ``|alpha + x| >= |y| sqrt(beta^2+x^2)``.  Raises ``ValueError`` for a
-    non-finite argument, then for what :class:`TwoByTwoParams` rejects.
+    ``|alpha + x| >= |y| sqrt(beta^2+x^2)``.  Raises ``ValueError`` for what
+    :class:`TwoByTwoParams` rejects: a non-finite argument, then a zero one.
     """
-    if not all(map(math.isfinite, (alpha, beta, x, y))):
-        raise ValueError("alpha, beta, x and y must be finite")
     TwoByTwoParams(alpha, beta, x, y)
     r = math.hypot(beta, x)
     m1 = abs(alpha - x) - r / abs(y)

@@ -126,7 +126,8 @@ def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
 def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
                        margin: float = MARGIN_FRACTION,
                        borderline_tol: float = BORDERLINE_TOL):
-    """Positive diagonal ``D`` such that ``B = D J D^{-1}`` meets ``target``.
+    """Positive diagonal ``D`` such that ``B = D J D^{-1}`` meets ``target``,
+    a :class:`Target` or its value.
 
     Returns ``(D, B)``.  Every coupling entry (the 1s and identity cells
     above the block diagonals) shrinks to at most ``margin`` times the
@@ -138,6 +139,7 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
     zero band 0, a pair block (defective when its chain is longer than one
     cell) against none, since the only pair at zero, ``(0, 0)``, is borderline.
     """
+    target = Target(target)
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     _tolerance(borderline_tol, "borderline_tol")
@@ -158,7 +160,8 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
 def build_real_dd_transform(a, target: Target = Target.STRICT,
                             tol: float = BORDERLINE_TOL,
                             cluster_tol: float = CLUSTER_TOL) -> SimilarityCertificate:
-    """Real ``P`` with ``B = P A P^{-1}`` diagonally dominant, when possible.
+    """Real ``P`` with ``B = P A P^{-1}`` diagonally dominant, when possible;
+    ``target`` is a :class:`Target` or its value.
 
     Raises :class:`NotAchievable` when the case table of :func:`classify`
     rules the target out, before any chain is built, and propagates Jordan
@@ -167,7 +170,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     the construction: dominance is recomputed from ``B`` and the residual
     from the triple.
     """
-    a = as_matrix(a)
+    a, target = as_matrix(a), Target(target)
     _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
     cases, verdict, _ = _kept_cases(spectrum, tol)

@@ -89,8 +89,8 @@ def _tolerance(value, name="tol"):
     """``value`` when it is a number that is finite and at least 0, else
     ``ValueError``: the one rule for every tolerance argument."""
     try:
-        valid = 0.0 <= value < math.inf
-    except TypeError:  # not comparable with a float: None, text, complex
+        valid = 0.0 <= value and math.isfinite(value)
+    except (TypeError, OverflowError):  # None, text, complex; an int beyond float range
         valid = False
     if not valid:
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -148,12 +148,12 @@ class DominanceReport:
 
 def is_diag_dominant(a, axis: Axis = Axis.ROW, strict: bool = False,
                      tol: float | None = None) -> DominanceReport:
-    """Check diagonal dominance of ``a`` along ``axis``.
+    """Check diagonal dominance of ``a`` along ``axis``, an :class:`Axis` or its value.
 
     Total function: always returns a report, never raises on content.
     Complex entries are compared by magnitude.
     """
-    a = _square(a)
+    a, axis = _square(a), Axis(axis)
     tol = default_dominance_tol(a) if tol is None else _tolerance(tol)
     return _dominance(a, axis, strict, tol)
 
@@ -185,8 +185,9 @@ def _comparison(a) -> np.ndarray:
 
 
 def gershgorin_discs(a, axis: Axis = Axis.ROW) -> list[GershgorinDisc]:
-    """All discs of ``a`` along ``axis``; their union contains the spectrum."""
-    a = as_matrix(a)
+    """All discs of ``a`` along ``axis``, an :class:`Axis` or its value; their
+    union contains the spectrum."""
+    a, axis = as_matrix(a), Axis(axis)
     _, radii = _off_diagonal_sums(a, axis)
     diag = np.diag(a)
     return [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import spectrum_matrix, well_conditioned
-from ddsim import (TwoByTwoParams, Verdict, classify, classify_2x2,
+from ddsim import (TwoByTwoParams, Verdict, classify, classify_2x2, is_borderline,
                    params_feasible, params_to_matrix)
 from ddsim.errors import DimensionMismatch
 
@@ -121,6 +121,19 @@ def test_params_validation():
         TwoByTwoParams(alpha=0.0, beta=0.0, x=0.0, y=1.0)
     with pytest.raises(ValueError):
         TwoByTwoParams(alpha=0.0, beta=1.0, x=0.0, y=0.0)
+    for field in ("alpha", "beta", "x", "y"):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = {"alpha": -2.0, "beta": 1.0, "x": 0.0, "y": 1.0, field: bad}
+            with pytest.raises(ValueError, match="^alpha, beta, x and y must be finite$"):
+                TwoByTwoParams(**args)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.inf, 1.0), (math.nan, 1.0), (1.0, -math.inf), (1.0, math.nan),
+])
+def test_is_borderline_rejects_non_finite_arguments(alpha, beta):
+    with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+        is_borderline(alpha, beta)
 
 
 @pytest.mark.parametrize("alpha, beta, x, y, expected", [

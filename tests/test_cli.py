@@ -8,7 +8,8 @@ import pytest
 
 from _gen import spectrum_matrix
 import ddsim.cli
-from ddsim import similarity_residual
+from ddsim import (build_complex_dd_transform, build_real_dd_transform, is_diag_dominant,
+                   jordan_residual_tol, similarity_residual)
 from ddsim.cli import build_parser, main
 from ddsim.errors import MatrixParseError
 from ddsim.io import dumps, load_matrix
@@ -99,15 +100,42 @@ def test_transform_strict_real(tmp_path, capsys):
     assert doc["residual"] <= 1e-6
 
 
-def test_transform_round_trips_residual(tmp_path, capsys):
-    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
-    code, out, _ = run(capsys, ["transform", "--input", path])
+#: Matrices whose printed certificates the round-trip test checks.
+_CERTIFIED = {
+    "tri": [[-2, 1], [0, -3]],
+    # a pair chain
+    "pair": [[2, 4, 3, -2], [-4, 0, -2, -1], [-3, -6, -4, 4], [-6, 1, -4, -2]],
+    # Jordan chains alone in their matrices, whose (A - lambda I)^2 is all
+    # rounding; eig splits the second into -1 +/- 3e-8j
+    "alone": [[-4, 2], [-2, 0]],
+    "split": [[-5, 4], [-4, 3]],
+    # a triple eigenvalue whose members' sum overflows
+    "rep": [[-6e307, 0, 0], [0, -6e307, 0], [0, 0, -6e307]],
+}
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("tri", "real"), ("tri", "complex"), ("pair", "complex"), ("alone", "real"),
+    ("alone", "complex"), ("split", "real"), ("split", "complex"), ("rep", "real"),
+    ("rep", "complex"),
+])
+def test_transform_round_trips_residual(tmp_path, capsys, name, mode):
+    # the printed residual is the one P and B give, within the Jordan limit,
+    # the printed B is strictly dominant, and P and B are the builder's own
+    path = write_json(tmp_path, "a.json", _CERTIFIED[name])
+    code, out, _ = run(capsys, ["transform", "--input", path, "--mode", mode])
     assert code == 0
     doc = json.loads(out)
-    p = np.array(doc["P"])
-    b = np.array(doc["B"])
-    a = np.array([[-2.0, 1.0], [0.0, -3.0]])
-    assert abs(similarity_residual(a, p, b) - doc["residual"]) <= 1e-12
+    p, b = (np.array(doc[k]["re"]) + 1j * np.array(doc[k]["im"]) if mode == "complex"
+            else np.array(doc[k]) for k in ("P", "B"))
+    a = np.array(_CERTIFIED[name], dtype=float)
+    residual = similarity_residual(a, p, b)
+    assert abs(residual - doc["residual"]) <= 1e-12
+    assert residual <= jordan_residual_tol(a)
+    assert is_diag_dominant(b, strict=True).strict
+    cert = (build_complex_dd_transform if mode == "complex" else build_real_dd_transform)(a)
+    np.testing.assert_array_equal(p, cert.P)
+    np.testing.assert_array_equal(b, cert.B)
 
 
 def test_transform_complex_rotation(tmp_path, capsys):
@@ -284,6 +312,26 @@ def test_numerical_failure_and_usage_error_exit_codes_differ(tmp_path, capsys):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("rows, head, error", [
+    # two clusters within twice the clustering tolerance
+    *(([[-1, 0], [0, -1.00000036]], head, "ClusterAmbiguity")
+      for head in (["classify"], ["transform"], ["transform", "--mode", "complex"])),
+    # a pair whose multiplicities disagree
+    *(([[-2e-7, 1e-7], [-1e-7, -2e-7]], head, "IllConditionedJordan")
+      for head in (["classify"], ["transform"], ["transform", "--mode", "complex"])),
+    # a length-3 real chain whose second power of A - lambda I overflows
+    ([[-2e155, 1e155, 0], [0, -2e155, 1e155], [0, 0, -2e155]], ["transform"],
+     "IllConditionedJordan"),
+], ids=["ambiguous-classify", "ambiguous-transform", "ambiguous-complex",
+        "inconsistent-classify", "inconsistent-transform", "inconsistent-complex",
+        "chain-transform"])
+def test_typed_numerical_failures_exit_2(tmp_path, capsys, rows, head, error):
+    path = write_json(tmp_path, "a.json", rows)
+    code, out, err = run(capsys, [*head, "--input", path])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0].startswith(f"numerical failure: {error}: ")
+
+
 def test_unparsable_tol_is_a_usage_error(tmp_path, capsys):
     path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
     code, err = parse_error(capsys, ["classify", "--input", path, "--tol", "abc"])
@@ -440,6 +488,8 @@ BIG_INT = "1" + "0" * 400  # a JSON integer literal too large for a float
     ("nan.json", '{"n": 1, "rows": [[NaN]]}', "row 1, column 1: non-finite value"),
     ("big.json", f'{{"n": 1, "rows": [[{BIG_INT}]]}}',
      "row 1, column 1: non-finite value"),
+    ("over.json", '{"n": 2, "rows": [[1e308, 1e308], [-1e308, 1e308]]}',
+     "matrix Frobenius norm overflows the largest float"),
 ])
 def test_parse_errors_exit_1(tmp_path, capsys, name, content, message):
     path = write_csv(tmp_path, name, content)

@@ -111,6 +111,31 @@ def test_scale_jordan_rejects_boundary_for_strict():
         scale_jordan_to_dd(jf, Target.STRICT)
 
 
+_BOUNDARY = [[-1.0, 1.0], [-1.0, -1.0]]
+
+
+def test_a_target_value_means_its_member():
+    with pytest.raises(NotAchievable):
+        build_real_dd_transform(_BOUNDARY, "Strict")
+    with pytest.raises(PreconditionViolated):
+        scale_jordan_to_dd(real_jordan_form(_BOUNDARY), "Strict")
+    cert = build_real_dd_transform(_BOUNDARY, "NonStrict")
+    assert cert.target is Target.NON_STRICT
+    _check_certificate(np.array(_BOUNDARY), cert)
+    d, b = scale_jordan_to_dd(real_jordan_form(_BOUNDARY), "NonStrict")
+    d_member, b_member = scale_jordan_to_dd(real_jordan_form(_BOUNDARY), Target.NON_STRICT)
+    np.testing.assert_array_equal(d, d_member)
+    np.testing.assert_array_equal(b, b_member)
+
+
+@pytest.mark.parametrize("target", ["strict", True, None])
+def test_a_target_that_is_no_member_nor_its_value_is_rejected(target):
+    with pytest.raises(ValueError, match="is not a valid Target"):
+        build_real_dd_transform(_BOUNDARY, target)
+    with pytest.raises(ValueError, match="is not a valid Target"):
+        scale_jordan_to_dd(real_jordan_form(_BOUNDARY), target)
+
+
 def test_scale_jordan_rejects_defective_boundary_chain():
     a = np.array([[-1.0, 1.0, 1.0, 0.0],
                   [-1.0, -1.0, 0.0, 1.0],

@@ -75,6 +75,25 @@ def test_gershgorin_discs_zero_matrix():
     assert [(g.center, g.radius) for g in discs] == [(0.0, 0.0)] * 3
 
 
+@pytest.mark.parametrize("axis", list(Axis))
+def test_an_axis_value_means_its_member(axis):
+    a = [[-3.0, 2.0], [0.0, -1.0]]  # strictly row-dominant, not column-dominant
+    by_value = is_diag_dominant(a, axis.value, strict=True, tol=0.0)
+    by_member = is_diag_dominant(a, axis, strict=True, tol=0.0)
+    assert by_value.axis is by_member.axis is axis
+    assert by_value.strict is by_member.strict is (axis is Axis.ROW)
+    np.testing.assert_array_equal(by_value.margins, by_member.margins)
+    assert gershgorin_discs(a, axis.value) == gershgorin_discs(a, axis)
+
+
+@pytest.mark.parametrize("axis", ["row", True, None])
+def test_an_axis_that_is_no_member_nor_its_value_is_rejected(axis):
+    with pytest.raises(ValueError, match="is not a valid Axis"):
+        is_diag_dominant([[-3.0, 2.0], [0.0, -1.0]], axis)
+    with pytest.raises(ValueError, match="is not a valid Axis"):
+        gershgorin_discs([[-3.0, 2.0], [0.0, -1.0]], axis)
+
+
 def test_similarity_residual_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert similarity_residual(a, np.eye(2), a) == 0.0
@@ -221,7 +240,11 @@ def test_scale_keeps_the_plain_norm_bits_and_survives_overflow():
     assert _frobenius(np.array([[1e300, np.inf]])) == np.inf
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+#: An int that compares below infinity but converts to no float.
+_BEYOND_FLOAT = pytest.param(10 ** 400, id="int-beyond-float")
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), _BEYOND_FLOAT])
 def test_dominance_rejects_negative_or_non_finite_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         is_diag_dominant([[-3, 1], [1, -3]], Axis.ROW, strict=True, tol=tol)
@@ -256,7 +279,8 @@ _TOLERANCE_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), None, "1e-9", 1j])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), None, "1e-9", 1j,
+                                   _BEYOND_FLOAT])
 @pytest.mark.parametrize("argument", list(_TOLERANCE_ARGUMENTS))
 def test_every_tolerance_argument_must_be_finite_and_nonnegative(argument, value):
     name = argument.split("-")[1]
