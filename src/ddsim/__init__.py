@@ -6,7 +6,7 @@ from .classify import (BORDERLINE_TOL, DDClassification, Finding, TwoByTwoParams
                        params_feasible, params_to_matrix)
 from .construct import (MARGIN_FRACTION, SimilarityCertificate, Target,
                         build_complex_dd_transform, build_real_dd_transform,
-                        certificate_tol, scale_jordan_to_dd)
+                        scale_jordan_to_dd)
 from .core import (Axis, DominanceReport, GershgorinDisc, as_matrix,
                    comparison_matrix, default_dominance_tol, gershgorin_discs,
                    is_diag_dominant, similarity_residual)
@@ -21,7 +21,7 @@ from .spectral import (CLUSTER_TOL, ComplexJordanBlock, ComplexPair,
                        real_jordan_form)
 from . import errors
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Axis", "BORDERLINE_TOL", "CLUSTER_TOL", "ComplexJordanBlock",
@@ -31,10 +31,10 @@ __all__ = [
     "RealJordanBlock", "RealJordanForm", "ScalingCertificate",
     "SimilarityCertificate", "Target", "TwoByTwoParams", "Verdict",
     "as_matrix", "build_complex_dd_transform", "build_real_dd_transform",
-    "certificate_tol", "classify", "classify_2x2", "comparison_matrix",
-    "default_dominance_tol", "eigen_structure", "errors", "gershgorin_discs",
-    "grid_search_2x2", "h_matrix_scaling", "is_borderline", "is_diag_dominant",
-    "is_h_matrix", "is_hurwitz", "is_m_matrix", "is_metzler", "is_z_matrix",
+    "classify", "classify_2x2", "comparison_matrix", "default_dominance_tol",
+    "eigen_structure", "errors", "gershgorin_discs", "grid_search_2x2",
+    "h_matrix_scaling", "is_borderline", "is_diag_dominant", "is_h_matrix",
+    "is_hurwitz", "is_m_matrix", "is_metzler", "is_z_matrix",
     "jordan_residual_tol", "metzler_hurwitz_scaling", "params_feasible",
     "params_to_matrix", "random_similarity_search", "real_jordan_form",
     "scale_jordan_to_dd", "similarity_residual",

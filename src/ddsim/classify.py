@@ -170,7 +170,7 @@ def classify(a, tol: float = BORDERLINE_TOL,
     :class:`ClusterAmbiguity` from the eigenstructure computation.
     """
     a = as_matrix(a)
-    _tolerance(tol)
+    tol = _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
     return _classification(spectrum.structure, tol, _kept_cases(spectrum, tol))
 
@@ -186,7 +186,7 @@ def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
     a = as_matrix(a)
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
-    _tolerance(tol)
+    tol = _tolerance(tol)
     entries = a.ravel().tolist()
     peak = 1.0
     half_trace, disc = _half_trace_disc(*entries)

@@ -10,7 +10,7 @@ Exit codes form a total function of the outcome taxonomy:
       structural precondition
 * 4 - out of scope: input is (numerically) singular
 * 64 - usage error (``EX_USAGE``): argparse rejected an argument, such as a
-       non-finite ``--tol``
+       non-finite ``--tol``, or ``--target nonstrict`` with ``--mode complex``
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ def _tol_argument(text: str) -> float:
             f"must be a finite number >= 0, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Return a new parser for the ``ddsim`` command line.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the ``ddsim`` command line, shared by every :func:`main` call.
 
-    Each call builds a fresh instance, which the caller may extend;
-    :func:`main` parses with a shared one of its own.
+    Built on the first call, not at import, and never mutated after:
+    ``parse_args`` keeps its state in the namespace it returns, and help and
+    usage text read the terminal width when they are formatted.
     """
     parser = argparse.ArgumentParser(
         prog="ddsim",
@@ -105,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                     _cmd_special, HURWITZ_TOL)
     sp.add_argument("which", choices=("m-scale", "h-scale", "tests"))
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first main() call, not at import, and never mutated after:
-    # parse_args keeps its state in the namespace it returns, and help and
-    # usage text read the terminal width when they are formatted.
-    return build_parser()
 
 
 def _evidence_doc(classification) -> list:
@@ -217,6 +211,8 @@ def _cmd_gershgorin(a, args):
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.command == "transform" and args.mode == "complex" and args.target != "strict":
+            _parser().error("argument --target: a --mode complex certificate is always strict")
     except SystemExit as exc:
         # argparse exits 2 on a rejected argument, here the code of a numerical failure
         raise SystemExit(64 if exc.code == 2 else exc.code) from None

@@ -28,13 +28,10 @@ from .core import Axis, DominanceReport, _dominance, _tolerance, as_matrix
 from .errors import IllConditionedJordan, NotAchievable, PreconditionViolated, SingularInput
 from .spectral import (CLUSTER_TOL, ComplexPair, RealEigenvalue, RealJordanBlock,
                        RealJordanForm, _assemble_jordan, _checked_residual, _complex_inverse,
-                       _spectrum, jordan_residual_tol)
+                       _spectrum)
 
 #: Fraction of the available dominance slack consumed by coupling entries.
 MARGIN_FRACTION = 0.5
-
-#: Acceptance threshold for certificate similarity residuals: the Jordan one.
-certificate_tol = jordan_residual_tol
 
 
 class Target(enum.Enum):
@@ -70,7 +67,7 @@ _REFUSALS = {
 }
 
 
-def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
+def _scaled(blocks, n, slacks, diagonal_cells=False):
     """Weights ``d`` and ``diag(d) J diag(d)^{-1}`` for the ``n x n``
     canonical matrix ``J`` of ``blocks``, given one slack per block: the
     chain ratio ``rho`` for :func:`_assemble_jordan`, which writes both in
@@ -78,14 +75,15 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
 
     Coordinate k of a chain gets weight ``rho**k``; length-1 chains, whose
     slacks are never read, stay at weight 1.  Each unit coupling then shrinks
-    to at most ``margin`` times the smallest slack among the longer chains:
-    ``rho = max(2, 2 / (margin * min(slacks)))``, unread when there are none.
+    to at most ``MARGIN_FRACTION`` times the smallest slack among the longer
+    chains: ``rho = max(2, 2 / (MARGIN_FRACTION * min(slacks)))``, unread
+    when there are none.
     A block whose slack is None is pinned at |alpha| = |beta| (``beta = |alpha|``).
     Raises :class:`IllConditionedJordan` when a weight is not a finite float.
     """
     lengths = [b.size if isinstance(b, RealJordanBlock) else b.chain_length for b in blocks]
-    floor = margin * min((s for s, length in zip(slacks, lengths) if length > 1),
-                         default=math.inf)
+    floor = MARGIN_FRACTION * min((s for s, length in zip(slacks, lengths) if length > 1),
+                                  default=math.inf)
     # a floor that underflows to 0 leaves no finite rho
     rho = max(2.0, 2.0 / floor) if floor > 0.0 else math.inf
     # rho >= 1, so the top weight of the longest chain is the largest
@@ -96,8 +94,8 @@ def _scaled(blocks, n, slacks, margin, diagonal_cells=False):
         finite = False
     if not finite:
         raise IllConditionedJordan(
-            f"chain weight rho**{top} overflows (rho = {rho:.3e}); the margin "
-            "or the smallest chain slack is too small")
+            f"chain weight rho**{top} overflows (rho = {rho:.3e}); the smallest "
+            "chain slack is too small")
     blocks = [b if s is not None else replace(b, beta=abs(b.alpha))
               for b, s in zip(blocks, slacks)]
     return _assemble_jordan(blocks, n, diagonal_cells, rho)
@@ -108,52 +106,47 @@ def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
     the chain basis ``Q`` of ``spectrum.basis``, or with ``diagonal_cells`` for its complex
     image (:func:`_complex_inverse`), and ``(d, B)`` from :func:`_scaled`, each chain at the
     entry of ``slacks`` of the cluster that owns it; :class:`IllConditionedJordan` unless
-    the residual is within ``certificate_tol`` and ``B`` meets ``target`` (``miss_message``
+    the residual is within ``jordan_residual_tol`` and ``B`` meets ``target`` (``miss_message``
     for a miss)."""
     blocks, p_j, owners = spectrum.basis
     p_j = _complex_inverse(blocks, p_j) if diagonal_cells else p_j
-    d, b = _scaled(blocks, len(p_j), [slacks[i] for i in owners], MARGIN_FRACTION,
-                   diagonal_cells)
+    d, b = _scaled(blocks, len(p_j), [slacks[i] for i in owners], diagonal_cells)
     p = d[:, None] * p_j
     residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
-    dominance = _dominance(b, Axis.ROW, target is Target.STRICT, 0.0)
-    if not dominance.satisfied:
+    dominance = _dominance(b, Axis.ROW, 0.0)
+    if not (dominance.strict if target is Target.STRICT else dominance.non_strict):
         raise IllConditionedJordan(miss_message)
     return SimilarityCertificate(P=p, B=b, dominance=dominance,
                                  residual=residual, target=target)
 
 
-def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT,
-                       margin: float = MARGIN_FRACTION,
-                       borderline_tol: float = BORDERLINE_TOL):
+def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT):
     """Positive diagonal ``D`` such that ``B = D J D^{-1}`` meets ``target``,
     a :class:`Target` or its value.
 
     Returns ``(D, B)``.  Every coupling entry (the 1s and identity cells
-    above the block diagonals) shrinks to at most ``margin`` times the
-    smallest row slack among the chains being scaled; rotation cells keep
+    above the block diagonals) shrinks to at most ``MARGIN_FRACTION`` times
+    the smallest row slack among the chains being scaled; rotation cells keep
     both coordinates equally weighted so their entries are untouched.  For a
     non-strict target, cells on the ``|alpha| = |beta|`` boundary are pinned
     at exact equality and receive no scaling.  Each block is decided as one
-    chain by the case function of :mod:`ddsim.classify`: a real block against
-    zero band 0, a pair block (defective when its chain is longer than one
-    cell) against none, since the only pair at zero, ``(0, 0)``, is borderline.
+    chain by the case function of :mod:`ddsim.classify`, at the builders'
+    default band ``BORDERLINE_TOL``: a real block against zero band 0, a pair
+    block (defective when its chain is longer than one cell) against none,
+    since the only pair at zero, ``(0, 0)``, is borderline.
     """
     target = Target(target)
-    if not 0.0 < margin < 1.0:
-        raise ValueError("margin must lie in (0, 1)")
-    _tolerance(borderline_tol, "borderline_tol")
     slacks = []
     for b in jordan.blocks:
         real = isinstance(b, RealJordanBlock)
         e = (RealEigenvalue(b.eigenvalue, b.size, 1) if real
              else ComplexPair(b.alpha, b.beta, b.chain_length, min(b.chain_length, 1)))
-        case = _case(e, borderline_tol, 0.0 if real else -math.inf)
+        case = _case(e, BORDERLINE_TOL, 0.0 if real else -math.inf)
         key = "strict-borderline" if target is Target.STRICT and "borderline" in case else case
         if key in _REFUSALS:
             raise PreconditionViolated(_REFUSALS[key].format(b=b), offender=b)
         slacks.append(_CASES[case].slack(e))
-    d, b_mat = _scaled(jordan.blocks, sum(b.dim for b in jordan.blocks), slacks, margin)
+    d, b_mat = _scaled(jordan.blocks, sum(b.dim for b in jordan.blocks), slacks)
     return np.diag(d), b_mat
 
 
@@ -171,7 +164,7 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     from the triple.
     """
     a, target = as_matrix(a), Target(target)
-    _tolerance(tol)
+    tol = _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
     cases, verdict, _ = _kept_cases(spectrum, tol)
     own = Verdict.STRICT_ACHIEVABLE if target is Target.STRICT else Verdict.NON_STRICT_ONLY
@@ -197,7 +190,7 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     ``OutOfScopeSingular``; each cluster's slack is its ``|lambda|``.
     """
     a = as_matrix(a)
-    _tolerance(tol)
+    tol = _tolerance(tol)
     spectrum = _spectrum(a, cluster_tol)
     cases, verdict, zero_tol = _kept_cases(spectrum, tol)
     if verdict is Verdict.OUT_OF_SCOPE_SINGULAR:

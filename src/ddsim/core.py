@@ -86,15 +86,15 @@ def _scale(a) -> float:
 
 
 def _tolerance(value, name="tol"):
-    """``value`` when it is a number that is finite and at least 0, else
-    ``ValueError``: the one rule for every tolerance argument."""
+    """``value`` when it is a number, not a bool, that is finite and at least
+    0, else ``ValueError``: the one rule for every tolerance argument.  A
+    zero comes back as ``+0.0``, so ``-0.0`` decides and prints as ``0.0``."""
     try:
-        valid = 0.0 <= value and math.isfinite(value)
+        if not isinstance(value, bool) and 0.0 <= value and math.isfinite(value):
+            return value + 0.0
     except (TypeError, OverflowError):  # None, text, complex; an int beyond float range
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return value
+        pass
+    raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def default_dominance_tol(a) -> float:
@@ -126,7 +126,7 @@ class GershgorinDisc:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Per-index dominance margins plus the strict / non-strict verdicts.
+    """Per-index dominance margins plus both verdicts, read off the same margins.
 
     ``margins[i] = |a_ii| - sum_{j != i} |a_ij|`` (row axis; column sums for
     the column axis).  ``strict`` holds when every margin exceeds ``tol``,
@@ -136,29 +136,24 @@ class DominanceReport:
     axis: Axis
     margins: np.ndarray
     tol: float
-    requested_strict: bool
     strict: bool
     non_strict: bool
 
-    @property
-    def satisfied(self) -> bool:
-        """The verdict matching the strictness that was asked for."""
-        return self.strict if self.requested_strict else self.non_strict
 
-
-def is_diag_dominant(a, axis: Axis = Axis.ROW, strict: bool = False,
-                     tol: float | None = None) -> DominanceReport:
-    """Check diagonal dominance of ``a`` along ``axis``, an :class:`Axis` or its value.
+def is_diag_dominant(a, axis: Axis = Axis.ROW, *, tol: float | None = None) -> DominanceReport:
+    """Strict and non-strict diagonal dominance of ``a`` along ``axis``, an
+    :class:`Axis` or its value, as one report: read ``.strict`` or
+    ``.non_strict``.
 
     Total function: always returns a report, never raises on content.
     Complex entries are compared by magnitude.
     """
     a, axis = _square(a), Axis(axis)
     tol = default_dominance_tol(a) if tol is None else _tolerance(tol)
-    return _dominance(a, axis, strict, tol)
+    return _dominance(a, axis, tol)
 
 
-def _dominance(a, axis, strict, tol) -> DominanceReport:
+def _dominance(a, axis, tol) -> DominanceReport:
     """:func:`is_diag_dominant` of an ``a`` the program built itself, with a
     ``tol`` already validated."""
     margins = np.subtract(*_off_diagonal_sums(a, axis))
@@ -166,7 +161,6 @@ def _dominance(a, axis, strict, tol) -> DominanceReport:
         axis=axis,
         margins=margins,
         tol=tol,
-        requested_strict=strict,
         strict=bool((margins > tol).all()),
         non_strict=bool((margins >= -tol).all()),
     )

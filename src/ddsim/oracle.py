@@ -301,9 +301,8 @@ def random_similarity_search(a, trials: int = 1000, seed: int = 0,
         for idx in qualifying:
             p = batch[idx]
             b = p @ a @ inverse[idx]
-            ok_row = is_diag_dominant(b, Axis.ROW, strict=strict, tol=0.0).satisfied
-            ok_col = is_diag_dominant(b, Axis.COLUMN, strict=strict, tol=0.0).satisfied
-            if ok_row or ok_col:
+            reports = [is_diag_dominant(b, axis, tol=0.0) for axis in Axis]
+            if any(r.strict if strict else r.non_strict for r in reports):
                 best = max(best, float(scores[: idx + 1].max()))
                 return RandomSearchResult(found=True, witness=p.copy(),
                                           best_margin=best,

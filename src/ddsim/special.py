@@ -91,7 +91,7 @@ def _positive_scaling(a) -> ScalingCertificate:
     # K = diag(d)^{-1}, rescaled so its largest entry is exactly 1
     k = d.min() / d
     b = _diag_similarity(a, k)
-    dominance = _dominance(b, Axis.ROW, True, 0.0)
+    dominance = _dominance(b, Axis.ROW, 0.0)
     if not dominance.strict:
         raise NumericallySingular(
             "scaled matrix misses strict dominance at working precision")
@@ -108,7 +108,7 @@ def metzler_hurwitz_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     eigenvalue real parts below ``-tol``.
     """
     a = as_matrix(a)
-    _tolerance(tol)
+    tol = _tolerance(tol)
     if not _z(-a):
         raise PreconditionViolated("matrix is not Metzler", offender=a)
     if not _hurwitz(a, tol):
@@ -124,7 +124,7 @@ def h_matrix_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     Hurwitz H-matrix is expected to come out all-negative.
     """
     a = as_matrix(a)
-    _tolerance(tol)
+    tol = _tolerance(tol)
     if not _hurwitz(a, tol):
         raise PreconditionViolated("matrix is not Hurwitz", offender=a)
     if not _m_matrix(_comparison(a), tol):

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from _gen import chain_matrix, spectrum_matrix, well_conditioned
 from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
-                   build_complex_dd_transform, build_real_dd_transform, certificate_tol,
-                   classify, classify_2x2, eigen_structure, jordan_residual_tol,
-                   real_jordan_form, similarity_residual)
+                   build_complex_dd_transform, build_real_dd_transform, classify,
+                   classify_2x2, eigen_structure, jordan_residual_tol, real_jordan_form,
+                   similarity_residual)
 from ddsim.core import _scale
 from ddsim.errors import (ClusterAmbiguity, DdsimError, IllConditionedJordan, NotAchievable,
                           PreconditionViolated, SingularInput)
@@ -169,8 +169,31 @@ def test_classification_carries_its_structure():
     assert classify(a).structure == eigen_structure(a)
 
 
-def test_certificate_tol_is_the_jordan_tolerance():
-    assert certificate_tol is jordan_residual_tol
+#: Calls that decide at ``tol`` from the case table the spectrum keeps.
+_TABLE_CALLS = {
+    "classify": classify,
+    "build_real": lambda a, tol: build_real_dd_transform(a, Target.NON_STRICT, tol),
+    "build_complex": build_complex_dd_transform,
+}
+#: A zero eigenvalue, a boundary pair, and both.
+_ZERO_BAND_MATRICES = ([[0.0, 1.0], [0.0, -2.0]], [[-1.0, 1.0], [-1.0, -1.0]],
+                       [[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]])
+#: The default band and both zeros, which compare equal as table keys.
+_ZERO_OR_DEFAULT = st.sampled_from((BORDERLINE_TOL, 0.0, -0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ZERO_BAND_MATRICES),
+       st.lists(st.tuples(st.sampled_from(list(_TABLE_CALLS)), _ZERO_OR_DEFAULT), max_size=4),
+       st.sampled_from(list(_TABLE_CALLS)), _ZERO_OR_DEFAULT)
+def test_a_call_after_any_history_of_tols_ends_as_from_an_empty_slot(a, history, name, tol):
+    # -0.0 and 0.0 are equal keys of the kept case table, so they must decide and print alike
+    _forget()
+    for past, past_tol in history:
+        _end(_TABLE_CALLS[past], a, past_tol)
+    warm = _end(_TABLE_CALLS[name], a, tol)
+    _forget()
+    assert warm == _end(_TABLE_CALLS[name], a, tol)
 
 
 _TWO_BY_TWO = {

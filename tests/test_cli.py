@@ -10,9 +10,10 @@ from _gen import spectrum_matrix
 import ddsim.cli
 from ddsim import (build_complex_dd_transform, build_real_dd_transform, is_diag_dominant,
                    jordan_residual_tol, similarity_residual)
-from ddsim.cli import build_parser, main
+from ddsim.cli import main
 from ddsim.errors import MatrixParseError
 from ddsim.io import dumps, load_matrix
+from ddsim.spectral import _forget
 
 
 def write_json(tmp_path, name, rows):
@@ -132,7 +133,7 @@ def test_transform_round_trips_residual(tmp_path, capsys, name, mode):
     residual = similarity_residual(a, p, b)
     assert abs(residual - doc["residual"]) <= 1e-12
     assert residual <= jordan_residual_tol(a)
-    assert is_diag_dominant(b, strict=True).strict
+    assert is_diag_dominant(b).strict
     cert = (build_complex_dd_transform if mode == "complex" else build_real_dd_transform)(a)
     np.testing.assert_array_equal(p, cert.P)
     np.testing.assert_array_equal(b, cert.B)
@@ -360,6 +361,31 @@ def test_finite_tol_is_accepted(tmp_path, capsys):
     assert run(capsys, ["classify", "--input", path, "--tol", "0"])[0] == 0
 
 
+@pytest.mark.parametrize("head", [["classify"], ["transform", "--mode", "complex"]])
+def test_negative_zero_tol_prints_what_zero_tol_does(tmp_path, capsys, head):
+    # a zero eigenvalue and a boundary pair: both bands are printed
+    path = write_json(tmp_path, "a.json", [[0, 0, 0], [0, -1, 1], [0, -1, -1]])
+    ends = []
+    for tol in ("-0", "0"):
+        _forget()
+        ends.append(run(capsys, [*head, "--input", path, "--tol", tol]))
+    assert ends[0] == ends[1]
+    assert "-0.000e+00" not in ends[0][1] + ends[0][2]
+
+
+@pytest.mark.parametrize("target", ["strict", "nonstrict"])
+def test_complex_mode_takes_the_strict_target_only(tmp_path, capsys, target):
+    # a complex certificate is always strict; asking for another is a usage error
+    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+    argv = ["transform", "--input", path, "--mode", "complex", "--target", target]
+    if target == "strict":
+        assert run(capsys, argv) == run(capsys, argv[:-2])
+    else:
+        code, err = parse_error(capsys, argv)
+        assert code == 64
+        assert "--target" in err
+
+
 def test_gershgorin_takes_no_tol(tmp_path, capsys):
     path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
     code, err = parse_error(capsys, ["gershgorin", "--input", path, "--tol", "1e-9",
@@ -433,7 +459,7 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    build_parser()
+    ddsim.cli._parser.__wrapped__()
     per_build = len(built)
     assert per_build == 5  # the top-level parser and one per subcommand
     built.clear()
@@ -459,19 +485,6 @@ def test_shared_parser_gives_the_same_bytes_in_any_order(capsys, criterion_9_arg
     assert code == 64
     backward = [run(capsys, argv) for argv in reversed(criterion_9_argvs)]
     assert backward[::-1] == forward
-
-
-def test_extending_a_built_parser_leaves_main_unchanged(tmp_path, capsys):
-    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
-    before = run(capsys, ["classify", "--input", path])
-    parser = build_parser()
-    assert parser is not build_parser()
-    parser.prog = "other"
-    parser.add_argument("--extra")
-    assert run(capsys, ["classify", "--input", path]) == before
-    code, err = parse_error(capsys, ["--extra", "1", "classify", "--input", path])
-    assert code == 64
-    assert err.startswith("usage: ddsim ")
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer literal too large for a float

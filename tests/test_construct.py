@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from _gen import chain_matrix, spectrum_matrix
-from ddsim import (Axis, Target, Verdict, build_complex_dd_transform, build_real_dd_transform,
-                   certificate_tol, classify, classify_2x2, is_diag_dominant,
-                   jordan_residual_tol, real_jordan_form, scale_jordan_to_dd,
+from ddsim import (Axis, RealJordanBlock, RealJordanForm, Target, Verdict,
+                   build_complex_dd_transform, build_real_dd_transform, classify, classify_2x2,
+                   is_diag_dominant, jordan_residual_tol, real_jordan_form, scale_jordan_to_dd,
                    similarity_residual)
 from ddsim.construct import _certified
 from ddsim.errors import (IllConditionedJordan, NotAchievable, PreconditionViolated,
@@ -18,10 +18,9 @@ from ddsim.spectral import CLUSTER_TOL, _Spectrum
 def _check_certificate(a, cert):
     # dominance and residual re-derived from the certificate alone
     assert similarity_residual(a, cert.P, cert.B) == cert.residual
-    assert cert.residual <= certificate_tol(a)
-    rep = is_diag_dominant(cert.B, Axis.ROW,
-                           strict=(cert.target is Target.STRICT), tol=0.0)
-    assert rep.satisfied
+    assert cert.residual <= jordan_residual_tol(a)
+    rep = is_diag_dominant(cert.B, Axis.ROW, tol=0.0)
+    assert rep.strict if cert.target is Target.STRICT else rep.non_strict
     eig_a = np.sort_complex(np.linalg.eigvals(a))
     eig_b = np.sort_complex(np.linalg.eigvals(cert.B))
     np.testing.assert_allclose(eig_b, eig_a, atol=1e-6)
@@ -81,7 +80,7 @@ def test_scale_jordan_no_off_diagonal_mass():
 
 def test_scale_jordan_real_chain():
     jf = real_jordan_form(np.array([[-2.0, 1.0], [0.0, -2.0]]))
-    d, b = scale_jordan_to_dd(jf, Target.STRICT, margin=0.5)
+    d, b = scale_jordan_to_dd(jf, Target.STRICT)
     np.testing.assert_array_equal(np.diag(d), [1.0, 2.0])
     assert b[0, 1] == 0.5
     np.testing.assert_array_equal(np.diag(b), np.diag(jf.J))
@@ -93,7 +92,7 @@ def test_scale_jordan_complex_chain_keeps_cells():
                   [0.0, 0.0, -2.0, 1.0],
                   [0.0, 0.0, -1.0, -2.0]])
     jf = real_jordan_form(a)
-    d, b = scale_jordan_to_dd(jf, Target.STRICT, margin=0.5)
+    d, b = scale_jordan_to_dd(jf, Target.STRICT)
     dd = np.diag(d)
     # both coordinates of each cell share a weight
     assert dd[0] == dd[1] and dd[2] == dd[3]
@@ -101,8 +100,7 @@ def test_scale_jordan_complex_chain_keeps_cells():
     np.testing.assert_allclose(b[0:2, 0:2], jf.J[0:2, 0:2], atol=1e-12)
     np.testing.assert_allclose(b[2:4, 2:4], jf.J[2:4, 2:4], atol=1e-12)
     assert 0 < b[0, 2] <= 0.5 * 1.0
-    rep = is_diag_dominant(b, Axis.ROW, strict=True, tol=0.0)
-    assert rep.strict
+    assert is_diag_dominant(b, Axis.ROW, tol=0.0).strict
 
 
 def test_scale_jordan_rejects_boundary_for_strict():
@@ -243,25 +241,20 @@ def test_diagonal_preserved_by_scaling():
         np.testing.assert_array_equal(np.diag(b), np.diag(jf.J))
 
 
-@pytest.mark.parametrize("margin", [0.0, 1.0, -1.0, float("nan")])
-def test_scale_jordan_rejects_margin_outside_unit_interval(margin):
-    jf = real_jordan_form(np.array([[-2.0, 1.0], [0.0, -2.0]]))
-    with pytest.raises(ValueError, match="margin"):
-        scale_jordan_to_dd(jf, Target.STRICT, margin=margin)
-
-
-@pytest.mark.parametrize("a, margin, k", [
-    # rho = 1e200: rho**1 is finite, rho**2 overflows
-    ([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]], 1e-200, 2),
-    # 2 / (margin * slack) overflows to inf
-    ([[-2.0, 1.0], [0.0, -2.0]], 1e-309, 1),
-    # margin * slack underflows to 0
-    ([[-0.25, 1.0], [0.0, -0.25]], 5e-324, 1),
+@pytest.mark.parametrize("eigenvalue, size, k", [
+    # rho = 2 / (0.5 * 4e-200) = 1e200: rho**1 is finite, rho**2 overflows
+    (-4e-200, 3, 2),
+    # 2 / (0.5 * slack) overflows to inf
+    (-1e-308, 2, 1),
+    # 0.5 * slack underflows to 0
+    (-5e-324, 2, 1),
 ])
-def test_scale_jordan_refuses_overflowing_chain_weight(a, margin, k):
-    jf = real_jordan_form(np.array(a))
+def test_scale_jordan_refuses_overflowing_chain_weight(eigenvalue, size, k):
+    # scale_jordan_to_dd reads the blocks alone; the slack of the chain is |eigenvalue|
+    jf = RealJordanForm(J=None, P=None, blocks=(RealJordanBlock(eigenvalue, size),),
+                        residual=0.0)
     with pytest.raises(IllConditionedJordan, match=re.escape(f"chain weight rho**{k} ")):
-        scale_jordan_to_dd(jf, Target.STRICT, margin=margin)
+        scale_jordan_to_dd(jf, Target.STRICT)
 
 
 def _hex(m):
@@ -425,7 +418,7 @@ def test_large_entries_keep_finite_thresholds(c, family):
     a = (np.diag([c, -2.0 * c]) if family == "diag"
          else c * np.array([[-2.0, 1.0], [-1.0, -2.0]]))
     assert classify(a).verdict is Verdict.STRICT_ACHIEVABLE
-    assert np.isfinite(certificate_tol(a))
+    assert np.isfinite(jordan_residual_tol(a))
     _check_certificate(a, build_real_dd_transform(a, Target.STRICT))
     _check_certificate(a, build_complex_dd_transform(a))
 

@@ -18,13 +18,20 @@ matrices = arrays(np.float64, (3, 3),
 
 
 def test_dominance_strict_triangular():
-    rep = is_diag_dominant([[-2, 1], [0, -3]], Axis.ROW, strict=True, tol=0.0)
-    assert rep.strict and rep.satisfied
+    rep = is_diag_dominant([[-2, 1], [0, -3]], Axis.ROW, tol=0.0)
+    assert rep.strict and rep.non_strict
     np.testing.assert_array_equal(rep.margins, [1.0, 3.0])
 
 
+def test_dominance_takes_tol_by_keyword_only():
+    # every report holds both verdicts; a positional strictness request
+    # must fail instead of being read as a tolerance
+    with pytest.raises(TypeError):
+        is_diag_dominant([[-2, 1], [0, -3]], Axis.ROW, True)
+
+
 def test_dominance_boundary_pair():
-    rep = is_diag_dominant([[-1, 1], [-1, -1]], Axis.ROW, strict=True, tol=0.0)
+    rep = is_diag_dominant([[-1, 1], [-1, -1]], Axis.ROW, tol=0.0)
     assert not rep.strict
     assert rep.non_strict
     np.testing.assert_array_equal(rep.margins, [0.0, 0.0])
@@ -34,11 +41,11 @@ def test_dominance_default_tol_scales_with_the_largest_entry():
     a = [[2.0, 1.0], [1.0, 2.0]]
     rep = is_diag_dominant(a)
     assert rep.tol == default_dominance_tol(a) == pytest.approx(3e-12, rel=1e-15)
-    assert rep.satisfied
+    assert rep.non_strict
 
 
 def test_dominance_violated():
-    rep = is_diag_dominant([[-1, 2], [-2, -1]], Axis.ROW, strict=True, tol=0.0)
+    rep = is_diag_dominant([[-1, 2], [-2, -1]], Axis.ROW, tol=0.0)
     assert not rep.strict and not rep.non_strict
     np.testing.assert_array_equal(rep.margins, [-1.0, -1.0])
 
@@ -46,8 +53,8 @@ def test_dominance_violated():
 def test_dominance_column_axis():
     # row-dominant but not column-dominant
     a = [[-3, 2.9], [0.1, -1]]
-    assert is_diag_dominant(a, Axis.ROW, strict=True, tol=0.0).strict
-    assert not is_diag_dominant(a, Axis.COLUMN, strict=True, tol=0.0).strict
+    assert is_diag_dominant(a, Axis.ROW, tol=0.0).strict
+    assert not is_diag_dominant(a, Axis.COLUMN, tol=0.0).strict
 
 
 @pytest.mark.parametrize("a, expected", [
@@ -78,8 +85,8 @@ def test_gershgorin_discs_zero_matrix():
 @pytest.mark.parametrize("axis", list(Axis))
 def test_an_axis_value_means_its_member(axis):
     a = [[-3.0, 2.0], [0.0, -1.0]]  # strictly row-dominant, not column-dominant
-    by_value = is_diag_dominant(a, axis.value, strict=True, tol=0.0)
-    by_member = is_diag_dominant(a, axis, strict=True, tol=0.0)
+    by_value = is_diag_dominant(a, axis.value, tol=0.0)
+    by_member = is_diag_dominant(a, axis, tol=0.0)
     assert by_value.axis is by_member.axis is axis
     assert by_value.strict is by_member.strict is (axis is Axis.ROW)
     np.testing.assert_array_equal(by_value.margins, by_member.margins)
@@ -247,7 +254,7 @@ _BEYOND_FLOAT = pytest.param(10 ** 400, id="int-beyond-float")
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), _BEYOND_FLOAT])
 def test_dominance_rejects_negative_or_non_finite_tol(tol):
     with pytest.raises(ValueError, match="tol"):
-        is_diag_dominant([[-3, 1], [1, -3]], Axis.ROW, strict=True, tol=tol)
+        is_diag_dominant([[-3, 1], [1, -3]], Axis.ROW, tol=tol)
 
 
 _BOUNDARY_PAIR = [[-1.0, 1.0], [-1.0, -1.0]]
@@ -267,8 +274,6 @@ _TOLERANCE_ARGUMENTS = {
     "build_complex-tol": lambda v: ddsim.build_complex_dd_transform(_BOUNDARY_PAIR, tol=v),
     "build_complex-cluster_tol":
         lambda v: ddsim.build_complex_dd_transform(_BOUNDARY_PAIR, cluster_tol=v),
-    "scale_jordan_to_dd-borderline_tol": lambda v: ddsim.scale_jordan_to_dd(
-        ddsim.real_jordan_form(_BOUNDARY_PAIR), ddsim.Target.NON_STRICT, borderline_tol=v),
     "is_borderline-tol": lambda v: ddsim.is_borderline(1.0, 3.0, tol=v),
     "is_hurwitz-tol": lambda v: ddsim.is_hurwitz(_METZLER_HURWITZ, v),
     "is_m_matrix-tol": lambda v: ddsim.is_m_matrix(comparison_matrix(_METZLER_HURWITZ), v),
@@ -280,7 +285,7 @@ _TOLERANCE_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), None, "1e-9", 1j,
-                                   _BEYOND_FLOAT])
+                                   _BEYOND_FLOAT, True, False])
 @pytest.mark.parametrize("argument", list(_TOLERANCE_ARGUMENTS))
 def test_every_tolerance_argument_must_be_finite_and_nonnegative(argument, value):
     name = argument.split("-")[1]
@@ -331,23 +336,22 @@ def _dominance_cases(draw):
     margins = _reference_margins(a, axis)
     tol = draw(st.one_of(st.sampled_from(sorted(np.abs(margins).tolist())),
                          st.just(0.0), st.floats(0.0, 10.0)))
-    return a, axis, draw(st.booleans()), tol
+    return a, axis, tol
 
 
 @settings(max_examples=400, deadline=None)
 @given(_dominance_cases())
-@example((np.array([[2.0, 1.0], [1.0, 2.0]]), Axis.ROW, True, 1.0))      # margins = tol
-@example((np.array([[1.0, 2.0], [2.0, 1.0]]), Axis.COLUMN, False, 1.0))  # margins = -tol
-@example((np.array([[3j, 1.0], [1.0, -2.0]]), Axis.ROW, True, 1.0))
+@example((np.array([[2.0, 1.0], [1.0, 2.0]]), Axis.ROW, 1.0))      # margins = tol
+@example((np.array([[1.0, 2.0], [2.0, 1.0]]), Axis.COLUMN, 1.0))   # margins = -tol
+@example((np.array([[3j, 1.0], [1.0, -2.0]]), Axis.ROW, 1.0))
 def test_dominance_matches_the_two_pass_reference(case):
-    a, axis, strict, tol = case
-    report = _dominance(a, axis, strict, tol)
+    a, axis, tol = case
+    report = _dominance(a, axis, tol)
     reference = _reference_margins(a, axis)
     assert report.margins.dtype == reference.dtype
     assert report.margins.tobytes() == reference.tobytes()
     assert report.strict == bool(np.all(reference > tol))
     assert report.non_strict == bool(np.all(reference >= -tol))
-    assert report.satisfied == (report.strict if strict else report.non_strict)
 
 
 @settings(max_examples=50, deadline=None)
