@@ -21,7 +21,7 @@ from .spectral import (CLUSTER_TOL, ComplexJordanBlock, ComplexPair,
                        real_jordan_form)
 from . import errors
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Axis", "BORDERLINE_TOL", "CLUSTER_TOL", "ComplexJordanBlock",

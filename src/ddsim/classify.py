@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _scale, _tolerance, as_matrix
-from .errors import DimensionMismatch
 from .spectral import CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, _spectrum
 
 #: Relative half-width of the |alpha| = |beta| boundary band.
@@ -185,7 +184,7 @@ def classify_2x2(a, tol: float = BORDERLINE_TOL) -> DDClassification:
     """
     a = as_matrix(a)
     if a.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
+        raise ValueError(f"expected a 2x2 matrix, got {a.shape}")
     tol = _tolerance(tol)
     entries = a.ravel().tolist()
     peak = 1.0

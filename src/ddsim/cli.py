@@ -10,7 +10,8 @@ Exit codes form a total function of the outcome taxonomy:
       structural precondition
 * 4 - out of scope: input is (numerically) singular
 * 64 - usage error (``EX_USAGE``): argparse rejected an argument, such as a
-       non-finite ``--tol``, or ``--target nonstrict`` with ``--mode complex``
+       non-finite ``--tol``, ``--target nonstrict`` with ``--mode complex``,
+       or ``gershgorin`` without ``--out``
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_tol_argument, default=tol,
                            help="decision tolerance, finite and >= 0 "
                                 "(default per subcommand)")
-        p.add_argument("--out", help="also write the output document here")
+        p.add_argument("--out", required=name == "gershgorin",
+                       help="also write the output document here")
         return p
 
     add_common("classify", "trichotomy verdict with evidence", _cmd_classify,
@@ -201,10 +203,7 @@ def _cmd_special(a, args):
 
 
 def _cmd_gershgorin(a, args):
-    """The SVG goes to ``--out`` only, which is checked before any work."""
-    if not args.out:
-        print("gershgorin requires --out SVG_PATH", file=sys.stderr)
-        return None, None, 1
+    """The SVG goes to ``--out`` only, which the parser requires."""
     return None, render_matrix(a, Axis.ROW if args.axis == "row" else Axis.COLUMN), 0
 
 

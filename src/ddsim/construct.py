@@ -144,10 +144,22 @@ def scale_jordan_to_dd(jordan: RealJordanForm, target: Target = Target.STRICT):
         case = _case(e, BORDERLINE_TOL, 0.0 if real else -math.inf)
         key = "strict-borderline" if target is Target.STRICT and "borderline" in case else case
         if key in _REFUSALS:
-            raise PreconditionViolated(_REFUSALS[key].format(b=b), offender=b)
+            raise PreconditionViolated(_REFUSALS[key].format(b=b))
         slacks.append(_CASES[case].slack(e))
     d, b_mat = _scaled(jordan.blocks, sum(b.dim for b in jordan.blocks), slacks)
     return np.diag(d), b_mat
+
+
+def _in_scope(a, tol, cluster_tol):
+    """``(spectrum, cases, verdict)`` of ``a`` from the case table of :func:`classify`
+    at ``tol``, the prologue of both builders; raises :class:`SingularInput` when the
+    verdict is ``OutOfScopeSingular``."""
+    a, tol = as_matrix(a), _tolerance(tol)
+    spectrum = _spectrum(a, cluster_tol)
+    cases, verdict, zero_tol = _kept_cases(spectrum, tol)
+    if verdict is Verdict.OUT_OF_SCOPE_SINGULAR:
+        raise SingularInput(f"an eigenvalue lies within {zero_tol:.3e} of zero")
+    return spectrum, cases, verdict
 
 
 def build_real_dd_transform(a, target: Target = Target.STRICT,
@@ -156,22 +168,19 @@ def build_real_dd_transform(a, target: Target = Target.STRICT,
     """Real ``P`` with ``B = P A P^{-1}`` diagonally dominant, when possible;
     ``target`` is a :class:`Target` or its value.
 
-    Raises :class:`NotAchievable` when the case table of :func:`classify`
-    rules the target out, before any chain is built, and propagates Jordan
+    Raises :class:`SingularInput` as :func:`build_complex_dd_transform` does,
+    and :class:`NotAchievable` when the case table of :func:`classify` rules
+    the target out, both before any chain is built, and propagates Jordan
     failures.  Couplings shrink to ``MARGIN_FRACTION`` of the slack the table
     gives each cluster.  The returned certificate is checked independently of
     the construction: dominance is recomputed from ``B`` and the residual
     from the triple.
     """
-    a, target = as_matrix(a), Target(target)
-    tol = _tolerance(tol)
-    spectrum = _spectrum(a, cluster_tol)
-    cases, verdict, _ = _kept_cases(spectrum, tol)
+    target = Target(target)
+    spectrum, cases, verdict = _in_scope(a, tol, cluster_tol)
     own = Verdict.STRICT_ACHIEVABLE if target is Target.STRICT else Verdict.NON_STRICT_ONLY
     if _worst((verdict, own)) is not own:
-        raise NotAchievable(
-            f"verdict {verdict.value} does not permit target {target.value}",
-            classification=verdict)
+        raise NotAchievable(f"verdict {verdict.value} does not permit target {target.value}")
 
     return _certified(spectrum, target, [_CASES[case].slack(e) for e, case in cases],
                       "constructed matrix misses the dominance target; the input "
@@ -189,13 +198,7 @@ def build_complex_dd_transform(a, tol: float = BORDERLINE_TOL,
     :class:`SingularInput` when the case table of :func:`classify` gives
     ``OutOfScopeSingular``; each cluster's slack is its ``|lambda|``.
     """
-    a = as_matrix(a)
-    tol = _tolerance(tol)
-    spectrum = _spectrum(a, cluster_tol)
-    cases, verdict, zero_tol = _kept_cases(spectrum, tol)
-    if verdict is Verdict.OUT_OF_SCOPE_SINGULAR:
-        raise SingularInput(f"an eigenvalue lies within {zero_tol:.3e} of zero")
-
+    spectrum, cases, _ = _in_scope(a, tol, cluster_tol)
     return _certified(spectrum, Target.STRICT,
                       [e.modulus if isinstance(e, ComplexPair) else abs(e.value)
                        for e, _ in cases],

@@ -86,11 +86,12 @@ def _scale(a) -> float:
 
 
 def _tolerance(value, name="tol"):
-    """``value`` when it is a number, not a bool, that is finite and at least
-    0, else ``ValueError``: the one rule for every tolerance argument.  A
-    zero comes back as ``+0.0``, so ``-0.0`` decides and prints as ``0.0``."""
+    """``value`` when it is a number, not a Python or numpy bool, that is
+    finite and at least 0, else ``ValueError``: the one rule for every
+    tolerance argument.  A zero comes back as ``+0.0``, so ``-0.0`` decides
+    and prints as ``0.0``."""
     try:
-        if not isinstance(value, bool) and 0.0 <= value and math.isfinite(value):
+        if not isinstance(value, (bool, np.bool_)) and 0.0 <= value and math.isfinite(value):
             return value + 0.0
     except (TypeError, OverflowError):  # None, text, complex; an int beyond float range
         pass
@@ -119,9 +120,6 @@ class GershgorinDisc:
     radius: float
     index: int
     axis: Axis
-
-    def contains_origin(self) -> bool:
-        return abs(self.center) <= self.radius
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.  Each error carries its
+message only, which names the value that failed and its threshold."""
 
 
 class DdsimError(Exception):
@@ -12,10 +13,6 @@ class SingularTransform(DdsimError):
 class ClusterAmbiguity(DdsimError):
     """Eigenvalue clustering admits more than one plausible grouping."""
 
-    def __init__(self, message, groupings=None):
-        super().__init__(message)
-        self.groupings = groupings if groupings is not None else []
-
 
 class IllConditionedJordan(DdsimError):
     """Jordan chain construction hit a conditioning threshold.
@@ -26,24 +23,12 @@ class IllConditionedJordan(DdsimError):
     """
 
 
-class DimensionMismatch(DdsimError):
-    """Operation requires a different matrix dimension."""
-
-
 class NotAchievable(DdsimError):
     """Requested dominance target is ruled out by the classification."""
 
-    def __init__(self, message, classification=None):
-        super().__init__(message)
-        self.classification = classification
-
 
 class PreconditionViolated(DdsimError):
-    """Structural precondition fails; ``offender`` names the culprit."""
-
-    def __init__(self, message, offender=None):
-        super().__init__(message)
-        self.offender = offender
+    """Structural precondition fails; the message names the block or matrix."""
 
 
 class NumericallySingular(DdsimError):

@@ -93,51 +93,29 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     raise MatrixParseError(f"unknown format {fmt!r}")
 
 
-def format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError("cannot serialize non-finite value")
-    return format(float(value), ".17g")
-
-
-def _emit(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
+def dumps(doc) -> str:
+    """Deterministic compact JSON of a document: text-keyed dicts, lists, numpy
+    arrays (as their nested lists), text, bools, ints and finite floats, each
+    float with 17 significant digits."""
+    if isinstance(doc, float):
+        if not math.isfinite(doc):
+            raise ValueError("cannot serialize non-finite value")
+        return format(doc, ".17g")
+    if isinstance(doc, list):
+        return "[" + ",".join(map(dumps, doc)) + "]"
+    if isinstance(doc, dict):
+        items = []
+        for key, value in doc.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string key: {key!r}")
-            out.append(encode_basestring_ascii(key))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps(doc) -> str:
-    """Deterministic compact JSON with 17-significant-digit floats; a numpy
-    array is written as its nested lists."""
-    out: list = []
-    _emit(doc, out)
-    return "".join(out)
-
+            items.append(f"{encode_basestring_ascii(key)}:{dumps(value)}")
+        return "{" + ",".join(items) + "}"
+    if isinstance(doc, np.ndarray):
+        return dumps(doc.tolist())
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return str(doc)
+    raise TypeError(f"cannot serialize {type(doc).__name__}")

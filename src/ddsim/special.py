@@ -110,9 +110,9 @@ def metzler_hurwitz_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     a = as_matrix(a)
     tol = _tolerance(tol)
     if not _z(-a):
-        raise PreconditionViolated("matrix is not Metzler", offender=a)
+        raise PreconditionViolated("matrix is not Metzler")
     if not _hurwitz(a, tol):
-        raise PreconditionViolated("matrix is not Hurwitz", offender=a)
+        raise PreconditionViolated("matrix is not Hurwitz")
     return _positive_scaling(a)
 
 
@@ -126,7 +126,7 @@ def h_matrix_scaling(a, tol: float = HURWITZ_TOL) -> ScalingCertificate:
     a = as_matrix(a)
     tol = _tolerance(tol)
     if not _hurwitz(a, tol):
-        raise PreconditionViolated("matrix is not Hurwitz", offender=a)
+        raise PreconditionViolated("matrix is not Hurwitz")
     if not _m_matrix(_comparison(a), tol):
-        raise PreconditionViolated("matrix is not an H-matrix", offender=a)
+        raise PreconditionViolated("matrix is not an H-matrix")
     return _positive_scaling(a)

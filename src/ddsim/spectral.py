@@ -85,10 +85,6 @@ class EigenStructure:
     real_eigs: tuple[RealEigenvalue, ...]
     complex_pairs: tuple[ComplexPair, ...]
 
-    def multiplicity_total(self) -> int:
-        return (sum(e.alg_mult for e in self.real_eigs)
-                + 2 * sum(p.alg_mult for p in self.complex_pairs))
-
 
 @dataclass(frozen=True)
 class RealJordanBlock:
@@ -309,14 +305,10 @@ def _group(vals, tol, kind):
                    for i, j, gap in near if rank[i] != rank[j])
     if cross:
         i, j, gap = cross[0]
-        merged = [list(members(g)) for k, g in enumerate(groups) if k not in (i, j)]
-        merged.append(list(members(groups[i] + groups[j])))
         raise ClusterAmbiguity(
             f"{kind} eigenvalue clusters at {means[i]:.6g} and {means[j]:.6g} "
             f"are separated by {gap:.3e}, within {AMBIGUITY_FACTOR}x the "
-            f"clustering tolerance {tol:.3e}",
-            groupings=[[list(members(g)) for g in groups], merged],
-        )
+            f"clustering tolerance {tol:.3e}")
     return groups, means
 
 
@@ -326,14 +318,12 @@ def _clusters(a, values, vectors, tol):
     holding only the upper-half-plane members.  Raises
     :class:`ClusterAmbiguity`."""
     w = values.tolist()
-    if any(tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol for z in w):
-        near_real = np.abs(values.imag) <= tol
+    near = next((z for z in w if tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol), None)
+    if near is not None:
         raise ClusterAmbiguity(
-            "an eigenvalue sits near the real axis within "
-            f"{AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
-            "its realness cannot be decided",
-            groupings=[list(values[near_real].real), list(values.real)],
-        )
+            f"eigenvalue {near:.6g} sits near the real axis: |Im| = {abs(near.imag):.3e} "
+            f"is within {AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
+            "its realness cannot be decided")
     real_idx = sorted((i for i, z in enumerate(w) if abs(z.imag) <= tol),
                       key=lambda i: w[i].real)
     upper_idx = [i for i, z in enumerate(w) if z.imag > tol]
@@ -372,15 +362,16 @@ class _Spectrum:
     real chain basis with its inverse (``basis``, built on first use) and
     the case table of the last ``tol`` (``cases``) are computed once per
     matrix.  ``scale`` is ``_scale(a)``, shared by every band and residual
-    limit; ``a`` must come from :func:`as_matrix`.  The chains and the basis
-    are cached properties and ``cases`` is assigned whole, so a step that
-    raises, whatever it raises, leaves none of its state behind.
+    limit; ``a`` must come from :func:`as_matrix` and ``cluster_tol`` from
+    :func:`ddsim.core._tolerance`.  The chains and the basis are cached
+    properties and ``cases`` is assigned whole, so a step that raises,
+    whatever it raises, leaves none of its state behind.
     """
 
     def __init__(self, a, cluster_tol):
         self.a = a
         self.scale = _scale(a)
-        tol = _tolerance(cluster_tol, "cluster_tol") * self.scale
+        tol = cluster_tol * self.scale
         self.clusters = _clusters(a, *np.linalg.eig(a), tol)
         self.structure = _structure(self.clusters)
         #: ``(tol, table)``: the case table :mod:`ddsim.classify` keeps for the last ``tol``
@@ -424,12 +415,14 @@ def _spectrum(a, cluster_tol):
     """The :class:`_Spectrum` of a validated ``a`` at ``cluster_tol``.
 
     Each thread keeps one: the spectrum of its last call, keyed by the shape
-    and bytes of ``a`` (validation makes every matrix C-ordered) and by
-    ``cluster_tol``.  A call on the same key reuses it; any other call
-    replaces it, unless making its spectrum raises: the slot then keeps
-    what it held.  Every result is the one a fresh spectrum gives, whatever
-    came before, a failure included: nothing is kept before it is complete.
+    and bytes of ``a`` (validation makes every matrix C-ordered) and by the
+    validated ``cluster_tol``, which no bool equal to it passes.  A call on
+    the same key reuses it; any other call replaces it, unless making its
+    spectrum raises: the slot then keeps what it held.  Every result is the
+    one a fresh spectrum gives, whatever came before, a failure included:
+    nothing is kept before it is complete.
     """
+    cluster_tol = _tolerance(cluster_tol, "cluster_tol")
     key = (a.shape, a.tobytes(), cluster_tol)
     last = getattr(_slot, "last", None)
     if last is not None and last[0] == key:

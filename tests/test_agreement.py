@@ -152,9 +152,11 @@ def test_real_build_never_contradicts_classify():
         _forget()
         try:
             _strict_build(a)
+        except SingularInput:
+            assert verdict is Verdict.OUT_OF_SCOPE_SINGULAR
         except NotAchievable as exc:
-            assert verdict is not Verdict.STRICT_ACHIEVABLE
-            assert exc.classification is verdict
+            assert verdict not in (Verdict.STRICT_ACHIEVABLE, Verdict.OUT_OF_SCOPE_SINGULAR)
+            assert f"verdict {verdict.value} " in str(exc)
         except PreconditionViolated:
             pytest.fail("strict build refused a precondition after the verdict allowed it")
         except DdsimError:

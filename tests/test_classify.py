@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from _gen import spectrum_matrix, well_conditioned
 from ddsim import (TwoByTwoParams, Verdict, classify, classify_2x2, is_borderline,
                    params_feasible, params_to_matrix)
-from ddsim.errors import DimensionMismatch
 
 
 def test_classify_all_real_nonzero():
@@ -66,7 +65,7 @@ def test_classify_2x2_diagonal():
 
 
 def test_classify_2x2_rejects_other_sizes():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got \(3, 3\)$"):
         classify_2x2(np.eye(3))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from _gen import spectrum_matrix
 import ddsim.cli
+import ddsim.errors
 from ddsim import (build_complex_dd_transform, build_real_dd_transform, is_diag_dominant,
                    jordan_residual_tol, similarity_residual)
 from ddsim.cli import main
@@ -169,14 +170,19 @@ def test_transform_complex_singular_out_of_scope(tmp_path, capsys):
     assert "SingularInput" in err
 
 
-@pytest.mark.parametrize("diagonal, code", [([-5e-10, 3e-8], 0), ([-4e-8, 4.1e-8], 4)],
-                         ids=["member-in-band", "mean-in-band"])
-def test_classify_and_complex_transform_agree_on_singularity(tmp_path, capsys, diagonal, code):
+@pytest.mark.parametrize("transform", [["--mode", "complex"], ["--target", "strict"],
+                                       ["--target", "nonstrict"]],
+                         ids=["complex", "real-strict", "real-nonstrict"])
+@pytest.mark.parametrize("diagonal, code", [([-5e-10, 3e-8], 0), ([-4e-8, 4.1e-8], 4),
+                                            ([0.0, 1.0], 4)],
+                         ids=["member-in-band", "mean-in-band", "zero"])
+def test_classify_and_complex_transform_agree_on_singularity(tmp_path, capsys, diagonal, code,
+                                                             transform):
     path = write_json(tmp_path, "a.json", np.diag(diagonal).tolist())
     assert run(capsys, ["classify", "--input", path])[0] == code
-    transform_code, _, err = run(capsys, ["transform", "--input", path, "--mode", "complex"])
+    transform_code, _, err = run(capsys, ["transform", "--input", path, *transform])
     assert transform_code == code
-    assert ("SingularInput" in err) is (code == 4)
+    assert err.startswith("out of scope: SingularInput: ") is (code == 4)
 
 
 def test_gershgorin_rotation_discs(tmp_path, capsys):
@@ -301,6 +307,13 @@ def parse_error(capsys, argv):
     return info.value.code, captured.err
 
 
+def test_every_library_error_has_an_outcome():
+    base = ddsim.errors.DdsimError
+    assert [t for t in vars(ddsim.errors).values()
+            if isinstance(t, type) and issubclass(t, base) and t is not base
+            and t not in ddsim.cli._FAILURES] == []
+
+
 def test_numerical_failure_and_usage_error_exit_codes_differ(tmp_path, capsys):
     # eigenvalues 1.5x the clustering band apart: the grouping is ambiguous
     gap = 1.5e-7 * (1.0 + np.sqrt(2.0))
@@ -394,13 +407,16 @@ def test_gershgorin_takes_no_tol(tmp_path, capsys):
     assert "--tol" in err
 
 
-def test_gershgorin_checks_out_before_any_work(tmp_path, capsys, monkeypatch):
-    path = write_json(tmp_path, "a.json", [[-2, 1], [0, -3]])
+@pytest.mark.parametrize("readable", [True, False], ids=["readable", "missing"])
+def test_gershgorin_checks_out_before_any_work(tmp_path, capsys, monkeypatch, readable):
+    path = (write_json(tmp_path, "a.json", [[-2, 1], [0, -3]]) if readable
+            else str(tmp_path / "missing.json"))
     solves = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(a) or eigvals(a))
-    code, out, err = run(capsys, ["gershgorin", "--input", path])
-    assert (code, out, err) == (1, "", "gershgorin requires --out SVG_PATH\n")
+    code, err = parse_error(capsys, ["gershgorin", "--input", path])
+    assert code == 64
+    assert "--out" in err
     assert solves == []
 
 
@@ -597,13 +613,10 @@ def test_arrays_emit_as_the_float_lists_they_replaced(a):
     assert text == dumps({"M": reference, "margins": [float(m) for m in a.real[0]]})
 
 
-def test_dumps_writes_none_as_null():
-    assert dumps({"x": None, "y": [None]}) == '{"x":null,"y":[null]}'
-
-
 @pytest.mark.parametrize("doc, error, message", [
     ({1: 2.0}, TypeError, "non-string key: 1"),
     ({"x": {1.5, 2.5}}, TypeError, "cannot serialize set"),
+    ({"x": [None]}, TypeError, "cannot serialize NoneType"),
     ([1.0, float("nan")], ValueError, "cannot serialize non-finite value"),
 ])
 def test_dumps_refuses_what_json_cannot_hold(doc, error, message):

@@ -67,8 +67,9 @@ def test_real_refuses_forbidden_targets():
     with pytest.raises(NotAchievable):
         build_real_dd_transform(boundary, Target.STRICT)
     singular = np.diag([0.0, 1.0])
-    with pytest.raises(NotAchievable):
-        build_real_dd_transform(singular, Target.NON_STRICT)
+    for target in Target:
+        with pytest.raises(SingularInput, match="^an eigenvalue lies within .* of zero$"):
+            build_real_dd_transform(singular, target)
 
 
 def test_scale_jordan_no_off_diagonal_mass():

@@ -74,7 +74,7 @@ def test_gershgorin_discs_row():
 def test_gershgorin_discs_pair_contains_origin():
     discs = gershgorin_discs([[-1, 2], [-2, -1]], Axis.ROW)
     assert [(g.center, g.radius) for g in discs] == [(-1.0, 2.0), (-1.0, 2.0)]
-    assert all(g.contains_origin() for g in discs)
+    assert all(abs(g.center) <= g.radius for g in discs)
 
 
 def test_gershgorin_discs_zero_matrix():
@@ -285,7 +285,7 @@ _TOLERANCE_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), None, "1e-9", 1j,
-                                   _BEYOND_FLOAT, True, False])
+                                   _BEYOND_FLOAT, True, False, np.True_, np.False_])
 @pytest.mark.parametrize("argument", list(_TOLERANCE_ARGUMENTS))
 def test_every_tolerance_argument_must_be_finite_and_nonnegative(argument, value):
     name = argument.split("-")[1]

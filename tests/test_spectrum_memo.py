@@ -106,6 +106,15 @@ def test_other_cluster_tol_misses(a, solves):
     assert solves == {"eig": 2}
 
 
+@pytest.mark.parametrize("kept, asked", [(0.0, False), (1.0, True)])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_kept_spectrum_admits_no_bool_cluster_tol(a, name, kept, asked):
+    # a bool equals, and hashes as, the number it is refused in place of
+    _end(CALLS[name], a, cluster_tol=kept)
+    with pytest.raises(ValueError, match="^cluster_tol must be finite and nonnegative$"):
+        CALLS[name](a, cluster_tol=asked)
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_other_layout_hits(a, solves, name):
     # validation makes every matrix C-ordered, so the same values in
