@@ -89,8 +89,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_tol_argument, default=tol,
                            help="decision tolerance, finite and >= 0 "
                                 "(default per subcommand)")
-        p.add_argument("--out", required=name == "gershgorin",
-                       help="also write the output document here")
+        svg = name == "gershgorin"
+        p.add_argument("--out", required=svg,
+                       help="SVG output file (required)" if svg
+                       else "also write the output document here")
         return p
 
     add_common("classify", "trichotomy verdict with evidence", _cmd_classify,

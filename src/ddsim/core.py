@@ -60,15 +60,24 @@ def _square(values) -> np.ndarray:
     return arr
 
 
+def _norm(x) -> float:
+    """``np.linalg.norm(x)`` of an inexact array, by numpy's own formula."""
+    v = x.ravel(order="K")
+    if v.dtype.kind == "c":
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
+
+
 @np.errstate(over="ignore")
 def _frobenius(x) -> float:
-    """``np.linalg.norm(x)``; only when it overflows on finite entries is it
-    recomputed as ``peak * ||x / peak||_F`` with ``peak = max |x_ij|``."""
+    """``np.linalg.norm(x)`` of an inexact ``x``; only when it overflows on
+    finite entries is it recomputed as ``peak * ||x / peak||_F`` with ``peak
+    = max |x_ij|``."""
     x = np.asarray(x)
-    norm = float(np.linalg.norm(x))
-    if norm == np.inf and np.isfinite(x).all():
-        peak = float(np.abs(x).max())
-        norm = peak * float(np.linalg.norm(x / peak))
+    norm = _norm(x)
+    if norm == math.inf and np.logical_and.reduce(np.isfinite(x), axis=None):
+        peak = float(np.maximum.reduce(np.abs(x), axis=None))
+        norm = peak * _norm(x / peak)
     return norm
 
 
@@ -101,15 +110,15 @@ def _tolerance(value, name="tol"):
 def default_dominance_tol(a) -> float:
     """Scale-aware slack for dominance comparisons: 1e-12 * (1 + max |a_ij|)."""
     a = _square(a)
-    return 1e-12 * (1.0 + float(np.abs(a).max()))
+    return 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(a), axis=None)))
 
 
 def _off_diagonal_sums(a: np.ndarray, axis: Axis):
     """``(|diag(a)|, off-diagonal sums of |a| along axis)`` from one ``|a|``."""
     off = np.abs(a)
     diag = off.diagonal().copy()
-    np.fill_diagonal(off, 0.0)
-    return diag, off.sum(axis=1 if axis is Axis.ROW else 0)
+    off.flat[::len(off) + 1] = 0.0
+    return diag, np.add.reduce(off, axis=1 if axis is Axis.ROW else 0)
 
 
 @dataclass(frozen=True)
@@ -151,16 +160,20 @@ def is_diag_dominant(a, axis: Axis = Axis.ROW, *, tol: float | None = None) -> D
     return _dominance(a, axis, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dominance(a, axis, tol) -> DominanceReport:
     """:func:`is_diag_dominant` of an ``a`` the program built itself, with a
-    ``tol`` already validated."""
+    ``tol`` already validated.  Both verdicts read the smallest margin, which
+    is NaN when any margin is: an entry whose magnitude overflows gives the
+    margin ``inf - inf``, which fails both."""
     margins = np.subtract(*_off_diagonal_sums(a, axis))
+    low = np.minimum.reduce(margins)
     return DominanceReport(
         axis=axis,
         margins=margins,
         tol=tol,
-        strict=bool((margins > tol).all()),
-        non_strict=bool((margins >= -tol).all()),
+        strict=bool(low > tol),
+        non_strict=bool(low >= -tol),
     )
 
 
@@ -172,7 +185,7 @@ def comparison_matrix(a) -> np.ndarray:
 def _comparison(a) -> np.ndarray:
     """:func:`comparison_matrix` of an ``a`` already validated."""
     m = -np.abs(a)
-    np.fill_diagonal(m, np.abs(np.diag(a)))
+    m.flat[::len(m) + 1] = np.abs(a.diagonal())
     return m
 
 
@@ -203,7 +216,7 @@ def _diag_similarity(a, d) -> np.ndarray:
     """Exact diagonal similarity ``diag(d) @ a @ diag(d)^{-1}``: each
     off-diagonal entry scaled by ``d_i / d_j``, the diagonal copied."""
     out = a * (d[:, None] / d[None, :])
-    np.fill_diagonal(out, np.diag(a))
+    out.flat[::len(out) + 1] = a.diagonal()
     return out
 
 

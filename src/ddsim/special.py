@@ -40,7 +40,7 @@ class ScalingCertificate:
 
 def _z(a) -> bool:
     """Every off-diagonal entry of a validated ``a`` is nonpositive."""
-    return bool(np.all(a[~np.eye(a.shape[0], dtype=bool)] <= 0.0))
+    return bool(np.logical_and.reduce(a[~np.eye(a.shape[0], dtype=bool)] <= 0.0))
 
 
 def is_z_matrix(a) -> bool:
@@ -59,7 +59,7 @@ def is_hurwitz(a, tol: float = HURWITZ_TOL) -> bool:
 
 
 def _hurwitz(a, tol) -> bool:
-    return bool(np.max(np.linalg.eigvals(a).real) < -tol)
+    return bool(np.maximum.reduce(np.linalg.eigvals(a).real) < -tol)
 
 
 def is_m_matrix(a, tol: float = HURWITZ_TOL) -> bool:
@@ -69,7 +69,7 @@ def is_m_matrix(a, tol: float = HURWITZ_TOL) -> bool:
 
 
 def _m_matrix(a, tol) -> bool:
-    return _z(a) and bool(np.min(np.linalg.eigvals(a).real) > tol)
+    return _z(a) and bool(np.minimum.reduce(np.linalg.eigvals(a).real) > tol)
 
 
 def is_h_matrix(a, tol: float = HURWITZ_TOL) -> bool:
@@ -84,18 +84,18 @@ def _positive_scaling(a) -> ScalingCertificate:
     if ratio:
         raise NumericallySingular(f"comparison matrix is numerically singular ({ratio})")
     d = np.linalg.solve(m, np.ones(a.shape[0]))
-    if np.any(d <= 0.0):
+    if np.logical_or.reduce(d <= 0.0):
         raise NumericallySingular(
             "scaling vector has nonpositive entries; the comparison matrix is "
             "not a usable M-matrix at working precision")
     # K = diag(d)^{-1}, rescaled so its largest entry is exactly 1
-    k = d.min() / d
+    k = np.minimum.reduce(d) / d
     b = _diag_similarity(a, k)
     dominance = _dominance(b, Axis.ROW, 0.0)
     if not dominance.strict:
         raise NumericallySingular(
             "scaled matrix misses strict dominance at working precision")
-    sign = (DiagonalSign.ALL_NEGATIVE if np.all(np.diag(a) < 0.0)
+    sign = (DiagonalSign.ALL_NEGATIVE if np.logical_and.reduce(a.diagonal() < 0.0)
             else DiagonalSign.MIXED)
     return ScalingCertificate(K=np.diag(k), B=b, dominance=dominance,
                               diagonal_sign=sign)

@@ -39,6 +39,8 @@ _TOP_SELECT_TOL = 1e-6
 _RESIDUAL_RTOL = 1e-6
 #: Norm of a unit pair vector's columns ``(w, conj(w))`` taken together.
 _SQRT2 = np.sqrt(2.0)
+#: Machine epsilon of float64, ``2**-52``, as ``np.float64``.
+_EPS = np.finfo(float).eps
 
 
 def jordan_residual_tol(a) -> float:
@@ -129,7 +131,7 @@ class RealJordanForm:
 def _nullspace(m, extra_tol=0.0):
     """Orthonormal nullspace basis of ``m`` at a combined sv threshold, and ``||m||_2``."""
     _, s, vh = np.linalg.svd(m)
-    nullity = int(np.sum(s <= max(RANK_RTOL * s[0], extra_tol)))
+    nullity = int(np.add.reduce(s <= max(RANK_RTOL * s[0], extra_tol)))
     return vh[len(s) - nullity:].conj().T, float(s[0])
 
 
@@ -154,7 +156,7 @@ class _Cluster:
         self.a = a
         self.dtype = complex if complex_field else float
         if vector is None:
-            self.radius = float(np.abs(np.array(members) - self.rep).max())
+            self.radius = float(np.maximum.reduce(np.abs(np.array(members) - self.rep)))
         else:  # a simple cluster's member is its mean
             self.radius, self.chains = 0.0, [[vector]]
 
@@ -169,7 +171,7 @@ class _Cluster:
     def _finite(self, power, k, growth):
         """``power``, the k-th of ``m``; :class:`IllConditionedJordan` if it or
         its perturbation bound ``growth`` overflows."""
-        if not (growth < np.inf and np.isfinite(power).all()):
+        if not (growth < np.inf and np.logical_and.reduce(np.isfinite(power), axis=None)):
             raise IllConditionedJordan(
                 f"power {k} of A - lambda I overflows near eigenvalue {self.lam:.6g}")
         return power
@@ -203,7 +205,7 @@ class _Cluster:
                 # times that times ||m||^{k-1}; RANK_RTOL * ||m^k|| alone vanishes with
                 # m^k, as on a chain alone in its matrix (Kagstrom & Ruhe, ACM TOMS 1980)
                 growth = np.float64(max(1.0, sig)) ** (k - 1)
-                rounding = np.finfo(float).eps * max(abs(lam), sig) * np.float64(sig) ** (k - 1)
+                rounding = _EPS * max(abs(lam), sig) * np.float64(sig) ** (k - 1)
                 cut = 2.0 * k * max(self.radius * growth, rounding)
             power = self._finite(power, k, growth)
             bases.append(_nullspace(power, cut)[0])
@@ -235,7 +237,7 @@ class _Cluster:
             cand = bases[k]
             if s_mat.shape[1]:
                 u, s, _ = np.linalg.svd(s_mat, full_matrices=False)
-                rank = int(np.sum(s > RANK_RTOL * s[0]))
+                rank = int(np.add.reduce(s > RANK_RTOL * s[0]))
                 u = u[:, :rank]
                 cand = cand - u @ (u.conj().T @ cand)
             uc, sc, _ = np.linalg.svd(cand, full_matrices=False)
@@ -288,12 +290,13 @@ def _group(vals, tol, kind):
         return np.array([vals[i] for i in g])
 
     def mean(g):
-        """numpy's mean of the members or, where it overflows, ``p`` times the
+        """numpy's mean of the members, their sum over their count as
+        ``ndarray.mean`` takes it, or, where it overflows, ``p`` times the
         mean of the members over ``p = 2**len(g).bit_length()``, an exact scaling."""
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = members(g).mean()
+            plain = np.add.reduce(members(g)) / len(g)
         p = 2.0 ** len(g).bit_length()
-        return plain if np.isfinite(plain) else (members(g) / p).mean() * p
+        return plain if np.isfinite(plain) else np.add.reduce(members(g) / p) / len(g) * p
 
     means = [mean(g) if len(g) > 1 else vals[g[0]] for g in groups]
     order = sorted(range(len(groups)), key=lambda k: (means[k].real, means[k].imag))
@@ -318,15 +321,20 @@ def _clusters(a, values, vectors, tol):
     holding only the upper-half-plane members.  Raises
     :class:`ClusterAmbiguity`."""
     w = values.tolist()
-    near = next((z for z in w if tol < abs(z.imag) <= AMBIGUITY_FACTOR * tol), None)
-    if near is not None:
-        raise ClusterAmbiguity(
-            f"eigenvalue {near:.6g} sits near the real axis: |Im| = {abs(near.imag):.3e} "
-            f"is within {AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
-            "its realness cannot be decided")
-    real_idx = sorted((i for i, z in enumerate(w) if abs(z.imag) <= tol),
-                      key=lambda i: w[i].real)
-    upper_idx = [i for i, z in enumerate(w) if z.imag > tol]
+    band = AMBIGUITY_FACTOR * tol
+    real_idx, upper_idx = [], []
+    for i, z in enumerate(w):
+        im = abs(z.imag)
+        if im <= tol:
+            real_idx.append(i)
+        elif im <= band:
+            raise ClusterAmbiguity(
+                f"eigenvalue {z:.6g} sits near the real axis: |Im| = {im:.3e} "
+                f"is within {AMBIGUITY_FACTOR}x the clustering tolerance {tol:.3e}; "
+                "its realness cannot be decided")
+        elif z.imag > tol:
+            upper_idx.append(i)
+    real_idx.sort(key=lambda i: w[i].real)
     out = []
     for idx, pairs, vecs in ((real_idx, False, vectors.real), (upper_idx, True, vectors)):
         vals = [w[i] if pairs else w[i].real for i in idx]

@@ -420,6 +420,17 @@ def test_gershgorin_checks_out_before_any_work(tmp_path, capsys, monkeypatch, re
     assert solves == []
 
 
+def test_gershgorin_help_names_out_as_the_svg_file(capsys, monkeypatch):
+    # wide enough that argparse keeps the help on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        main(["gershgorin", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "SVG output file (required)" in out
+    assert "also write the output document here" not in out
+
+
 @pytest.fixture
 def criterion_9_argvs(tmp_path):
     """The argv list of acceptance criterion 9 (CLI golden runs)."""

@@ -241,6 +241,12 @@ def test_scale_keeps_the_plain_norm_bits_and_survives_overflow():
     for _ in range(50):
         a = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-100, 150)
         assert _scale(a) == 1.0 + float(np.linalg.norm(a))
+    # the norm itself, of the complex certificate residual and of arrays in
+    # either memory order, below the overflow fallback
+    for e in range(-150, 151, 10):
+        z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 10.0 ** e
+        for x in (z, z.real, np.asfortranarray(z), np.asfortranarray(z.real), z[:, 1]):
+            assert _frobenius(x).hex() == float(np.linalg.norm(x)).hex()
     # the plain norm overflows from entries of about 1.3e154
     assert _scale(np.diag([1e300, -2e300])) == pytest.approx(np.sqrt(5.0) * 1e300)
     assert _scale(np.full((2, 2), 1e154)) == pytest.approx(2e154)
@@ -318,10 +324,11 @@ def test_strict_implies_non_strict(a):
 
 def _reference_margins(a, axis):
     """``|a_ii|`` minus the off-diagonal sums, in the two passes ``_dominance``
-    replaced."""
+    replaced; an entry whose magnitude overflows makes a margin ``inf - inf``."""
     off = np.abs(a)
     np.fill_diagonal(off, 0.0)
-    return np.abs(np.diag(a)) - off.sum(axis=1 if axis is Axis.ROW else 0)
+    with np.errstate(invalid="ignore"):
+        return np.abs(np.diag(a)) - off.sum(axis=1 if axis is Axis.ROW else 0)
 
 
 @st.composite
@@ -344,6 +351,10 @@ def _dominance_cases(draw):
 @example((np.array([[2.0, 1.0], [1.0, 2.0]]), Axis.ROW, 1.0))      # margins = tol
 @example((np.array([[1.0, 2.0], [2.0, 1.0]]), Axis.COLUMN, 1.0))   # margins = -tol
 @example((np.array([[3j, 1.0], [1.0, -2.0]]), Axis.ROW, 1.0))
+@example((np.asfortranarray([[3.0, -1.0, 0.5], [2.0, -4.0, 1.0], [0.0, 1.0, 2.0]]),
+          Axis.ROW, 0.5))                                           # Fortran order
+@example((np.full((2, 2), 1.5e308 + 1.5e308j), Axis.ROW, 0.0))     # |a_ij| = inf, NaN margins
+@example((np.array([[-2.0]]), Axis.COLUMN, 2.0))                    # n = 1
 def test_dominance_matches_the_two_pass_reference(case):
     a, axis, tol = case
     report = _dominance(a, axis, tol)

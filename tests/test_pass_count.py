@@ -1,5 +1,5 @@
-"""Work counted at the ``numpy.linalg`` boundary and at the program's own
-helpers.
+"""Work counted at the ``numpy.linalg`` boundary, at the program's own
+helpers and at numpy's Python-level convenience layer.
 
 From an empty spectrum slot (an autouse fixture empties it before each
 test), each public call makes one spectral pass and takes one ``||A||_F``.
@@ -12,6 +12,8 @@ evidence."""
 
 import contextlib
 import importlib
+import inspect
+import os
 import sys
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -22,8 +24,9 @@ import pytest
 from _gen import canonical_from_spectrum, chain_matrix, spectrum_matrix, well_conditioned
 from ddsim import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, Target, Verdict,
                    build_complex_dd_transform, build_real_dd_transform, classify,
-                   h_matrix_scaling, is_h_matrix, is_hurwitz, is_m_matrix, is_metzler,
-                   is_z_matrix, metzler_hurwitz_scaling, real_jordan_form, scale_jordan_to_dd)
+                   h_matrix_scaling, is_diag_dominant, is_h_matrix, is_hurwitz, is_m_matrix,
+                   is_metzler, is_z_matrix, metzler_hurwitz_scaling, real_jordan_form,
+                   scale_jordan_to_dd)
 import ddsim
 import ddsim.core
 import ddsim.spectral
@@ -223,6 +226,58 @@ def test_special_call_validates_once(square_calls, call):
     # every test passes, so each call runs its whole body
     assert call(_M_MATRIX if call in (is_z_matrix, is_m_matrix) else _METZLER_HURWITZ)
     assert square_calls["square"] == 1
+
+
+#: numpy's Python-level convenience layer: the ``ndarray`` reduction methods
+#: (``_methods``), the module-level reductions (``fromnumeric``) and three
+#: functions, by the code of their implementation.
+_CONVENIENCE_FILES = tuple(os.path.join("numpy", "_core", name)
+                           for name in ("_methods.py", "fromnumeric.py"))
+_CONVENIENCE_CODES = {inspect.unwrap(np.fill_diagonal).__code__,
+                      inspect.unwrap(np.linalg.norm).__code__, np.finfo.__new__.__code__}
+
+
+def _convenience_calls(run):
+    """Frames of numpy's convenience layer entered directly from a ``ddsim``
+    frame while ``run()`` runs, by function name."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        caller = frame.f_back
+        if (event == "call" and caller is not None
+                and caller.f_globals.get("__name__", "").startswith("ddsim")
+                and (frame.f_code in _CONVENIENCE_CODES
+                     or frame.f_code.co_filename.endswith(_CONVENIENCE_FILES))):
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_decision_paths_reduce_with_ufuncs_directly(separated8):
+    # per-call code reduces with the ufunc methods (np.add.reduce, ...) and
+    # writes the Frobenius norm inline; LAPACK calls and np.errstate are the
+    # floor and are not counted
+    chains = [chain_matrix(np.random.default_rng(3), kind, 3) for kind in ("real", "pair")]
+
+    def run():
+        _classify_then_build(separated8)
+        is_diag_dominant(separated8)
+        scale_jordan_to_dd(real_jordan_form(separated8))
+        for a in chains:
+            _classify_then_build(a, 1e-4)
+        for call in (is_z_matrix, is_m_matrix):
+            assert call(_M_MATRIX)
+        for call in (is_metzler, is_hurwitz, is_h_matrix, metzler_hurwitz_scaling,
+                     h_matrix_scaling):
+            assert call(_METZLER_HURWITZ)
+
+    assert _convenience_calls(run) == Counter()
 
 
 @pytest.fixture
