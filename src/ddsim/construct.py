@@ -12,7 +12,9 @@ spectrum keeps, with each pair's rows mapped by
 :func:`ddsim.spectral._complex_inverse`: both paths share one basis test and
 one inversion.  Each certificate is verified once, on its own: every weight
 is >= 1 and the map is unitary, so its residual ``||D U (P_J A - J P_J)||_F``
-is never below the Jordan residual.
+is never below the Jordan residual.  Its singularity test is an SVD only
+when ``kappa * max(d) / min(d)``, for the basis condition bound ``kappa``,
+cannot prove it.
 """
 
 from __future__ import annotations
@@ -108,11 +110,13 @@ def _certified(spectrum, target, slacks, miss_message, diagonal_cells=False):
     entry of ``slacks`` of the cluster that owns it; :class:`IllConditionedJordan` unless
     the residual is within ``jordan_residual_tol`` and ``B`` meets ``target`` (``miss_message``
     for a miss)."""
-    blocks, p_j, owners = spectrum.basis
+    blocks, p_j, owners, kappa = spectrum.basis
     p_j = _complex_inverse(blocks, p_j) if diagonal_cells else p_j
     d, b = _scaled(blocks, len(p_j), [slacks[i] for i in owners], diagonal_cells)
     p = d[:, None] * p_j
-    residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate")
+    # cond_2(P) <= cond_2(diag(d)) cond_2(U^H inv(Q)) <= max(d) / min(d) * kappa, U unitary
+    residual = _checked_residual(spectrum.a, p, b, spectrum.scale, "certificate",
+                                 kappa * float(np.maximum.reduce(d) / np.minimum.reduce(d)))
     dominance = _dominance(b, Axis.ROW, 0.0)
     if not (dominance.strict if target is Target.STRICT else dominance.non_strict):
         raise IllConditionedJordan(miss_message)

@@ -18,6 +18,9 @@ from .errors import SingularTransform
 
 #: Relative singular-value gap below which a transform counts as singular.
 SINGULAR_SV_RTOL = 1e-12
+#: A condition bound up to which the singular-value ratio test passes with
+#: 1000x to spare, so it is not taken (:func:`_singular_ratio`).
+_PROVEN_COND = 1e-3 / SINGULAR_SV_RTOL
 
 
 class Axis(enum.Enum):
@@ -113,8 +116,10 @@ def default_dominance_tol(a) -> float:
     return 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(a), axis=None)))
 
 
+@np.errstate(over="ignore")
 def _off_diagonal_sums(a: np.ndarray, axis: Axis):
-    """``(|diag(a)|, off-diagonal sums of |a| along axis)`` from one ``|a|``."""
+    """``(|diag(a)|, off-diagonal sums of |a| along axis)`` from one ``|a|``;
+    a magnitude or sum that overflows is ``inf``, with no warning."""
     off = np.abs(a)
     diag = off.diagonal().copy()
     off.flat[::len(off) + 1] = 0.0
@@ -160,12 +165,13 @@ def is_diag_dominant(a, axis: Axis = Axis.ROW, *, tol: float | None = None) -> D
     return _dominance(a, axis, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(invalid="ignore")
 def _dominance(a, axis, tol) -> DominanceReport:
     """:func:`is_diag_dominant` of an ``a`` the program built itself, with a
     ``tol`` already validated.  Both verdicts read the smallest margin, which
     is NaN when any margin is: an entry whose magnitude overflows gives the
-    margin ``inf - inf``, which fails both."""
+    margin ``inf - inf``, which fails both; :func:`_off_diagonal_sums`
+    guards the overflow itself."""
     margins = np.subtract(*_off_diagonal_sums(a, axis))
     low = np.minimum.reduce(margins)
     return DominanceReport(
@@ -201,11 +207,24 @@ def gershgorin_discs(a, axis: Axis = Axis.ROW) -> list[GershgorinDisc]:
     ]
 
 
-def _singular_ratio(m) -> str | None:
+def _singular_ratio(m, cond_bound=math.inf) -> str | None:
     """``"sv ratio lo / hi"`` when ``m`` is numerically singular, else None:
     its smallest singular value is below ``SINGULAR_SV_RTOL`` times the
     largest, the largest is 0, or either is not a number (an overflowed
-    ``m`` gives NaN singular values)."""
+    ``m`` gives NaN singular values).
+
+    The SVD is taken only when ``cond_bound``, a bound on ``cond_2(m)`` that
+    the caller derived from an inverse it computed, such as ``||m||_F
+    ||m^{-1}||_F``, is not at most ``_PROVEN_COND = 1e9``; NaN and ``inf``
+    take it.  A bound within that limit proves the test passes with 1000x
+    to spare (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 14): the rounding of a computed inverse perturbs the condition
+    number it gives by about ``n eps kappa`` relative, at most 1e-5 at
+    ``kappa <= 1e9`` and ``n <= 12``, and the SVD finds each singular value
+    to within ``p(n) eps sigma_max``, so the ratio it would find is at least
+    ``1e-9 (1 - 1e-5) - p(n) eps``, far above ``SINGULAR_SV_RTOL``."""
+    if cond_bound <= _PROVEN_COND:
+        return None
     sv = np.linalg.svd(m, compute_uv=False)
     if not (sv[0] > 0.0 and sv[-1] >= SINGULAR_SV_RTOL * sv[0]):
         return f"sv ratio {sv[-1]:.3e} / {sv[0]:.3e}"
@@ -232,10 +251,14 @@ def similarity_residual(a, p, b) -> float:
     return _residual(a, p, b, _scale(a))
 
 
-def _residual(a, p, b, scale) -> float:
+def _residual(a, p, b, scale, cond_bound=math.inf) -> float:
     """:func:`similarity_residual` of matrices already validated or built by
-    the program, where ``scale`` is ``_scale(a)``."""
-    ratio = _singular_ratio(p)
+    the program, where ``scale`` is ``_scale(a)``.  The singularity test of
+    ``p`` takes an SVD only when ``cond_bound``, a bound on ``cond_2(p)``
+    from the builder of ``p``, cannot prove the test
+    (:func:`_singular_ratio`); :func:`similarity_residual`, whose ``p``
+    comes from the caller, always takes it."""
+    ratio = _singular_ratio(p, cond_bound)
     if ratio:
         raise SingularTransform(f"transform is numerically singular ({ratio})")
     return _frobenius(p @ a - b @ p) / scale

@@ -10,15 +10,19 @@ Each thread keeps the spectrum of the matrix of its last spectral call
 (:func:`_spectrum`), so ``classify`` followed by the builders on one matrix
 pays for one spectral pass, one ``eig`` and one test and inversion of the
 real chain basis, whose unitary image is the complex one; every call still
-validates its input and verifies its own output.  Each lazy record of a
-spectrum is assigned only once it is complete, so a call that raises, for
-any reason, leaves nothing half built and the next call ends as it would
-from an empty slot.
+validates its input and verifies its own output.  The singular-value ratio
+tests of the basis and of each transform checked against it are SVDs only
+when the condition bound ``||Q||_F ||inv(Q)||_F`` of the inversion cannot
+prove them (:func:`ddsim.core._singular_ratio`), so a well-conditioned
+basis takes no SVD for them.  Each lazy record of a spectrum is assigned
+only once it is complete, so a call that raises, for any reason, leaves
+nothing half built and the next call ends as it would from an empty slot.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -49,11 +53,13 @@ def jordan_residual_tol(a) -> float:
     return _RESIDUAL_RTOL * _scale(a)
 
 
-def _checked_residual(a, p, b, scale, what) -> float:
+def _checked_residual(a, p, b, scale, what, cond_bound=math.inf) -> float:
     """``similarity_residual(a, p, b)`` of a validated ``a`` whose ``_scale``
-    is ``scale``; :class:`IllConditionedJordan` naming ``what`` when it is not
-    within ``jordan_residual_tol(a)``."""
-    residual = _residual(a, p, b, scale)
+    is ``scale``, its singularity test of ``p`` proven without an SVD when
+    ``cond_bound`` bounds ``cond_2(p)`` closely enough
+    (:func:`ddsim.core._residual`); :class:`IllConditionedJordan` naming
+    ``what`` when it is not within ``jordan_residual_tol(a)``."""
+    residual = _residual(a, p, b, scale, cond_bound)
     limit = _RESIDUAL_RTOL * scale
     if not residual <= limit:
         raise IllConditionedJordan(
@@ -387,13 +393,24 @@ class _Spectrum:
 
     @functools.cached_property
     def basis(self):
-        """``(blocks, inv(Q), owners)`` for the real basis ``Q`` of the
-        clusters' Jordan chains, once ``Q`` passes the singular-value ratio
-        test: a pair's chain vector ``w`` gives the columns ``(Re w, Im w)``,
-        and ``owners`` holds each chain's cluster index, in block order, real
-        clusters first.  Each cluster's chains fill exactly its ``alg_mult``
-        coordinates (two per pair), so ``Q`` is square.  The kept ``inv(Q)``
-        is read-only; a caller that hands it out copies it."""
+        """``(blocks, inv(Q), owners, kappa)`` for the real basis ``Q`` of
+        the clusters' Jordan chains, once ``Q`` passes the singular-value
+        ratio test: a pair's chain vector ``w`` gives the columns ``(Re w, Im
+        w)``, and ``owners`` holds each chain's cluster index, in block order,
+        real clusters first.  Each cluster's chains fill exactly its
+        ``alg_mult`` coordinates (two per pair), so ``Q`` is square.  The kept
+        ``inv(Q)`` is read-only; a caller that hands it out copies it.
+
+        ``Q`` is inverted first, and ``kappa = ||Q||_F ||inv(Q)||_F >=
+        cond_2(Q)`` bounds its condition number; the ratio test is an SVD of
+        ``Q`` only when ``kappa`` cannot prove it (``inv`` raised, or ``kappa``
+        is not finite or exceeds ``core._PROVEN_COND``; see
+        :func:`ddsim.core._singular_ratio` for why the skip is sound).  A
+        refusal is the SVD's, with its message; ``inv`` runs on the same ``Q``
+        either way, so the bytes of ``inv(Q)`` do not depend on the skip.
+        Every chain's longest vector has unit norm, so ``||Q||_F >= 1``, and
+        the entries of ``inv(Q)``, and of ``diag(d) inv(Q)``, are at most
+        ``kappa``, and ``max(d) kappa``, in magnitude."""
         real, pairs = self.clusters
         blocks, columns, owners = [], [], []
         for index, cluster in enumerate(real + pairs):
@@ -408,12 +425,19 @@ class _Spectrum:
                     for w in chain:
                         columns += (w.real, w.imag)
         q = np.array(columns).T
-        ratio = _singular_ratio(q)
+        try:
+            inverse = np.linalg.inv(q)
+        except np.linalg.LinAlgError:
+            inverse, kappa = None, math.inf
+        else:
+            kappa = _frobenius(q) * _frobenius(inverse)
+        ratio = _singular_ratio(q, kappa)
         if ratio:
             raise IllConditionedJordan(f"Jordan basis is numerically singular ({ratio})")
-        inverse = np.linalg.inv(q)
+        if inverse is None:
+            inverse = np.linalg.inv(q)  # the ratio test passed: raise inv's own error
         inverse.flags.writeable = False
-        return tuple(blocks), inverse, tuple(owners)
+        return tuple(blocks), inverse, tuple(owners), kappa
 
 
 _slot = threading.local()
@@ -514,7 +538,7 @@ def real_jordan_form(a, cluster_tol: float = CLUSTER_TOL) -> RealJordanForm:
     ``cluster_tol``.
     """
     spectrum = _spectrum(as_matrix(a), cluster_tol)
-    blocks, p, _ = spectrum.basis
+    blocks, p, _, kappa = spectrum.basis
     _, j = _assemble_jordan(blocks, len(p))
     return RealJordanForm(J=j, P=p.copy(), blocks=blocks, residual=_checked_residual(
-        spectrum.a, p, j, spectrum.scale, "Jordan"))
+        spectrum.a, p, j, spectrum.scale, "Jordan", kappa))

@@ -1,4 +1,5 @@
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,14 @@ def test_gershgorin_discs_pair_contains_origin():
 def test_gershgorin_discs_zero_matrix():
     discs = gershgorin_discs(np.zeros((3, 3)), Axis.COLUMN)
     assert [(g.center, g.radius) for g in discs] == [(0.0, 0.0)] * 3
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_gershgorin_radius_that_overflows_is_inf_without_warning(axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        discs = gershgorin_discs(np.full((3, 3), 1e308), axis)
+    assert [(g.center, g.radius) for g in discs] == [(1e308, np.inf)] * 3
 
 
 @pytest.mark.parametrize("axis", list(Axis))

@@ -34,10 +34,11 @@ from ddsim.classify import _cases, _classification
 from ddsim.cli import main as cli_main
 from ddsim.errors import IllConditionedJordan
 
-#: SVDs that verify a real or complex certificate from an empty slot: the
-#: chain basis singular-value ratio and the singularity test of the
-#: certificate residual.  A second build on the same matrix reuses the basis.
-VERIFICATION_SVDS = 2
+#: SVDs that verify a real or complex certificate of a well-conditioned
+#: basis from an empty slot: none.  The chain basis ratio test and the
+#: singularity test of the certificate residual are both proven by the
+#: condition bound that the basis inverse gives.
+VERIFICATION_SVDS = 0
 
 
 @pytest.fixture(autouse=True)
@@ -50,14 +51,17 @@ def empty_slot():
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Counter of eigen-solves, SVDs and inverses; a norm that takes an SVD
-    (the 2-norm) counts as one SVD and also as "norm svd", and an inverse of
-    a complex matrix also counts as "complex inv"."""
+    (the 2-norm) counts as one SVD and also as "norm svd", an SVD of
+    singular values alone (a singular-value ratio test) also as "ratio svd",
+    and an inverse of a complex matrix also as "complex inv"."""
     calls = Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             if name == "inv" and np.iscomplexobj(args[0]):
                 calls["complex inv"] += 1
+            if name == "svd" and kwargs.get("compute_uv") is False:
+                calls["ratio svd"] += 1
             if name != "norm":
                 calls[name] += 1
             elif kwargs.get("ord", args[1] if len(args) > 1 else None) in (2, -2, "nuc"):
@@ -164,9 +168,20 @@ def test_classify_then_both_builds_share_one_pass(separated8, linalg_calls, frob
     assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
     # one scale, and the numerator of each certificate residual
     assert frobenius_calls["frobenius"] == 1 + 2
-    # one basis ratio test, and the singularity test of each certificate
-    assert linalg_calls["svd"] == 1 + 2
+    # the basis ratio test and the singularity test of each certificate are
+    # proven by the basis condition bound
+    assert linalg_calls["svd"] == 0
     assert linalg_calls["inv"] == 1
+
+
+def test_certificate_beyond_the_proven_bound_takes_its_svd(linalg_calls):
+    # a chain of length 3 at -1e-4: its basis is the identity (bound 3), but
+    # the chain weights rho = 4e4 put each certificate's bound at 3 * rho**2
+    # = 4.8e9, beyond the 1e9 limit, so each certificate takes its SVD
+    a = -1e-4 * np.eye(3) + np.eye(3, k=1)
+    _classify_then_build(a)
+    assert linalg_calls["ratio svd"] == 2
+    assert (linalg_calls["eig"], linalg_calls["inv"]) == (1, 1)
 
 
 @pytest.mark.parametrize("kind, length", [
