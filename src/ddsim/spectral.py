@@ -14,8 +14,8 @@ validates its input and verifies its own output.  The singular-value ratio
 tests of the basis and of each transform checked against it are SVDs only
 when the condition bound ``||Q||_F ||inv(Q)||_F`` of the inversion cannot
 prove them (:func:`ddsim.core._singular_ratio`), so a well-conditioned
-basis takes no SVD for them.  Each lazy record of a spectrum is assigned
-only once it is complete, so a call that raises, for any reason, leaves
+basis takes no SVD for them.  A spectrum is kept only whole and its chain
+basis only once built, so a call that raises, for any reason, leaves
 nothing half built and the next call ends as it would from an empty slot.
 """
 
@@ -143,36 +143,44 @@ def _nullspace(m, extra_tol=0.0):
 
 class _Cluster:
     """One eigenvalue cluster and its Jordan chains, from the nullspace
-    filtration of ``m = a - rep I`` (over the complex field for conjugate
+    filtration of ``m = a - lam I`` (over the complex field for conjugate
     pairs).
 
-    A repeated cluster keeps two records, each once it is complete:
-    ``_first``, the first power with its kernel and ``||m||_2`` from one SVD,
-    which gives the geometric multiplicity; and ``chains``, which takes the
-    higher powers, one SVD each, and the chain tops.  A step that raises
-    keeps nothing, so the next call takes it again.  A simple cluster needs
-    neither: its one chain is the unit eigenvector ``eig`` returned for it,
-    set when the cluster is made.
+    :func:`_clusters` makes it from its members, and the spectrum completes
+    it (:meth:`take_first_power`) before keeping it.  A simple cluster is
+    complete when made: its one chain is the unit eigenvector ``eig``
+    returned for it.  Any other keeps ``first``, the first power with its
+    kernel and ``||m||_2`` from one SVD.  :meth:`chains` builds the chains
+    from these on each call.
     """
 
-    def __init__(self, a, members, mean, complex_field, vector=None):
+    def __init__(self, members, mean, complex_field, vector=None):
         self.rep = complex(mean)
         self.alg_mult = len(members)
         self.lam = self.rep if complex_field else self.rep.real
-        self.a = a
-        self.dtype = complex if complex_field else float
+        self.vector, self.geo_mult = vector, 1
         if vector is None:
             self.radius = float(np.maximum.reduce(np.abs(np.array(members) - self.rep)))
         else:  # a simple cluster's member is its mean
-            self.radius, self.chains = 0.0, [[vector]]
+            self.radius = 0.0
 
-    @functools.cached_property
-    def _first(self):
-        """``(m, ker m, ||m||_2)``."""
+    def take_first_power(self, a):
+        """Keep ``first`` and its nullity as ``geo_mult``, unless the cluster
+        was made with its eigenvector; :class:`IllConditionedJordan` if ``m``
+        overflows or unless ``1 <= geo_mult <= alg_mult``."""
+        if self.vector is not None:
+            return
+        field = type(self.lam)
         # + 0.0 turns -0.0 into 0.0, whose sign LAPACK can pass on to a basis vector
-        eye = np.eye(len(self.a), dtype=self.dtype)
-        m = self._finite(self.a.astype(self.dtype) - self.lam * eye + 0.0, 1, 1.0)
-        return (m, *_nullspace(m, 2.0 * self.radius))
+        m = self._finite(a.astype(field) - self.lam * np.eye(len(a), dtype=field) + 0.0, 1, 1.0)
+        kernel, sig = _nullspace(m, 2.0 * self.radius)
+        geo, lam = kernel.shape[1], self.rep
+        if not 1 <= geo <= self.alg_mult:
+            name = (f"pair {lam.real:.6g}+/-{lam.imag:.6g}j" if field is complex
+                    else f"eigenvalue {lam.real:.6g}")
+            raise IllConditionedJordan(f"inconsistent multiplicities for {name}: "
+                                       f"geometric {geo}, algebraic {self.alg_mult}")
+        self.first, self.geo_mult = (m, kernel, sig), geo
 
     def _finite(self, power, k, growth):
         """``power``, the k-th of ``m``; :class:`IllConditionedJordan` if it or
@@ -182,23 +190,20 @@ class _Cluster:
                 f"power {k} of A - lambda I overflows near eigenvalue {self.lam:.6g}")
         return power
 
-    @property
-    def geo_mult(self) -> int:
-        """1 for a simple cluster, else the nullity of ``m``."""
-        return 1 if self.alg_mult == 1 else self._first[1].shape[1]
-
-    @functools.cached_property
     def chains(self):
         """Jordan chains of the cluster, longest first (the order they are built in).
 
-        The filtration is taken one power at a time until its nullity
-        reaches the algebraic multiplicity or stops growing.  The number of
-        chains of length >= k is the nullity increment between consecutive
-        powers, chain tops at height k are chosen independent of
+        A simple cluster's one chain is its eigenvector.  Otherwise the
+        filtration is taken one power at a time from ``first`` until its
+        nullity reaches the algebraic multiplicity or stops growing.  The
+        number of chains of length >= k is the nullity increment between
+        consecutive powers, chain tops at height k are chosen independent of
         ker(m^{k-1}) and of taller chains via SVD, and the rest of each
         chain is generated exactly as v_{j-1} = m v_j.
         """
-        m, kernel, sig = self._first
+        if self.vector is not None:
+            return [[self.vector]]
+        m, kernel, sig = self.first
         alg, lam = self.alg_mult, self.lam
         bases, power = [kernel[:, :0], kernel], m  # ker(m^0) = {0}
         for k in range(2, alg + 1):
@@ -324,8 +329,8 @@ def _group(vals, tol, kind):
 def _clusters(a, values, vectors, tol):
     """``(real_clusters, pair_clusters)`` of the ``eig`` solve ``(values,
     vectors)`` of ``a`` at the absolute tolerance ``tol``, pair clusters
-    holding only the upper-half-plane members.  Raises
-    :class:`ClusterAmbiguity`."""
+    holding only the upper-half-plane members.  Only groups: no cluster has
+    taken its first power yet.  Raises :class:`ClusterAmbiguity`."""
     w = values.tolist()
     band = AMBIGUITY_FACTOR * tol
     real_idx, upper_idx = [], []
@@ -344,42 +349,33 @@ def _clusters(a, values, vectors, tol):
     out = []
     for idx, pairs, vecs in ((real_idx, False, vectors.real), (upper_idx, True, vectors)):
         vals = [w[i] if pairs else w[i].real for i in idx]
-        out.append([_Cluster(a, [vals[i] for i in g], mean, pairs,
+        out.append([_Cluster([vals[i] for i in g], mean, pairs,
                              vecs[:, idx[g[0]]] if len(g) == 1 else None)
                     for g, mean in zip(*_group(vals, tol, "complex" if pairs else "real"))])
     return tuple(out)
 
 
 def _structure(clusters) -> EigenStructure:
-    """Both multiplicities of every cluster of ``clusters``, real clusters
-    first; only repeated eigenvalues cost an SVD.  Raises
-    :class:`IllConditionedJordan` unless ``1 <= geo_mult <= alg_mult``."""
-    found = ([], [])
-    for pairs, kind in enumerate(clusters):
-        for c in kind:
-            lam, alg, geo = c.rep, c.alg_mult, c.geo_mult
-            if not 1 <= geo <= alg:
-                name = (f"pair {lam.real:.6g}+/-{lam.imag:.6g}j" if pairs
-                        else f"eigenvalue {lam.real:.6g}")
-                raise IllConditionedJordan(f"inconsistent multiplicities for {name}: "
-                                           f"geometric {geo}, algebraic {alg}")
-            found[pairs].append(ComplexPair(lam.real, lam.imag, alg, geo) if pairs
-                                else RealEigenvalue(lam.real, alg, geo))
-    return EigenStructure(*map(tuple, found))
+    """Both multiplicities of every complete cluster, real clusters first."""
+    real, pairs = clusters
+    return EigenStructure(
+        tuple(RealEigenvalue(c.rep.real, c.alg_mult, c.geo_mult) for c in real),
+        tuple(ComplexPair(c.rep.real, c.rep.imag, c.alg_mult, c.geo_mult) for c in pairs))
 
 
 class _Spectrum:
-    """One ``eig`` solve of ``a``, with the ``clusters`` and ``structure``
-    that every spectral call reads, made here: a matrix they refuse raises
-    before any spectrum of it is kept.  :func:`_spectrum` hands the same
-    object to each call on the same matrix, so the clusters' chains, the
-    real chain basis with its inverse (``basis``, built on first use) and
-    the case table of the last ``tol`` (``cases``) are computed once per
-    matrix.  ``scale`` is ``_scale(a)``, shared by every band and residual
-    limit; ``a`` must come from :func:`as_matrix` and ``cluster_tol`` from
-    :func:`ddsim.core._tolerance`.  The chains and the basis are cached
-    properties and ``cases`` is assigned whole, so a step that raises,
-    whatever it raises, leaves none of its state behind.
+    """One ``eig`` solve of ``a``, with the complete ``clusters`` and the
+    ``structure`` that every spectral call reads, made here: a matrix they
+    refuse raises before any spectrum of it is kept.  :func:`_spectrum`
+    hands the same object to each call on the same matrix, so the real chain
+    basis with its inverse (``basis``, built on first use) and the case
+    table of the last ``tol`` (``cases``) are computed once per matrix.
+    ``scale`` is ``_scale(a)``, shared by every band and residual limit;
+    ``a`` must come from :func:`as_matrix` and ``cluster_tol`` from
+    :func:`ddsim.core._tolerance`.  The basis is a cached property and
+    ``cases`` is assigned whole, so a step that raises, whatever it raises,
+    leaves none of its state behind: a refused basis keeps not even its
+    chains, which the next call builds again.
     """
 
     def __init__(self, a, cluster_tol):
@@ -387,6 +383,8 @@ class _Spectrum:
         self.scale = _scale(a)
         tol = cluster_tol * self.scale
         self.clusters = _clusters(a, *np.linalg.eig(a), tol)
+        for cluster in self.clusters[0] + self.clusters[1]:
+            cluster.take_first_power(a)
         self.structure = _structure(self.clusters)
         #: ``(tol, table)``: the case table :mod:`ddsim.classify` keeps for the last ``tol``
         self.cases = None
@@ -415,7 +413,7 @@ class _Spectrum:
         blocks, columns, owners = [], [], []
         for index, cluster in enumerate(real + pairs):
             lam = cluster.rep
-            for chain in cluster.chains:
+            for chain in cluster.chains():
                 owners.append(index)
                 if index < len(real):
                     blocks.append(RealJordanBlock(lam.real, len(chain)))

@@ -1,4 +1,9 @@
-"""Seeded random matrix generators shared by the unit and acceptance tests."""
+"""Seeded random matrix generators shared by the unit and acceptance tests,
+and the benchmark's seeded pools."""
+
+import importlib
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -119,3 +124,14 @@ def hurwitz_h_matrix(rng, n):
     flipped = base * signs
     assert np.array_equal(comparison_matrix(flipped), comparison_matrix(base))
     return flipped
+
+
+def workloads():
+    """The benchmark's ``workloads`` module, whose seeded pools some tests
+    reuse; ``perfbench/`` sits beside ``tests/`` in the checkout."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(path)

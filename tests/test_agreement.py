@@ -25,7 +25,7 @@ from ddsim import (BORDERLINE_TOL, CLUSTER_TOL, Target, Verdict, as_matrix,
 from ddsim.core import _scale
 from ddsim.errors import (ClusterAmbiguity, DdsimError, IllConditionedJordan, NotAchievable,
                           PreconditionViolated, SingularInput)
-from ddsim.spectral import _assemble_jordan, _complex_inverse, _forget, _Spectrum
+from ddsim.spectral import _assemble_jordan, _Cluster, _complex_inverse, _forget, _Spectrum
 
 
 def _bits(x):
@@ -68,8 +68,12 @@ def test_eigenvector_path_matches_filtration(n):
         a = as_matrix(spectrum_matrix(rng, n, dominant_pairs_only=False))
         from_eig = _Spectrum(a, CLUSTER_TOL)
         from_filtration = _Spectrum(a, CLUSTER_TOL)
-        for cluster in [c for group in from_filtration.clusters for c in group]:
-            del cluster.chains  # the eig eigenvector, set when the cluster is made
+        for pairs, kind in enumerate(from_filtration.clusters):
+            for i, cluster in enumerate(kind):
+                assert cluster.alg_mult == 1
+                # the same simple cluster made without its eig eigenvector
+                kind[i] = _Cluster([cluster.lam], cluster.lam, pairs)
+                kind[i].take_first_power(a)
         blocks_eig, p_eig, *_ = from_eig.basis
         blocks_filtration, p_filtration, *_ = from_filtration.basis
         assert blocks_eig == blocks_filtration
@@ -85,7 +89,7 @@ def _direct_complex_basis(spectrum):
     columns = []
     for pairs, clusters in enumerate(spectrum.clusters):
         for cluster in clusters:
-            for chain in cluster.chains:
+            for chain in cluster.chains():
                 for w in chain:
                     columns += (w / np.sqrt(2.0), w.conj() / np.sqrt(2.0)) if pairs else (w,)
     return np.array(columns).T

@@ -3,6 +3,7 @@ import struct
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import ddsim.oracle
 
 from ddsim import (Axis, classify_2x2, grid_search_2x2, is_diag_dominant,
                    params_feasible, random_similarity_search, Verdict)
+from test_pass_count import counted
 
 
 def test_grid_finds_strict_witness_for_dominant_pair():
@@ -539,40 +541,50 @@ def test_screen_keeps_what_the_condition_number_keeps(monkeypatch, limit, n):
             assert abs(got - want) <= (cond_f + 2) * Fraction(1, 2 ** 52) * abs(want)
 
 
-def _counting(monkeypatch, name, module=np.linalg):
+def _rows(batch):
+    """The number of matrices in a stack, or None for one matrix."""
+    return len(batch) if np.ndim(batch) == 3 else None
+
+
+def _counting(monkeypatch, name):
+    """Rows of each batch handed to ``np.linalg.<name>``, in call order."""
     rows = []
-    wrapped = getattr(module, name)
+    wrapped = getattr(np.linalg, name)
 
     def counting(batch, *args, **kwargs):
-        rows.append(len(batch) if np.ndim(batch) == 3 else None)
+        rows.append(_rows(batch))
         return wrapped(batch, *args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return rows
 
 
 @pytest.mark.parametrize("trials", [2000, 5000])
 def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
-    kernel = _counting(monkeypatch, "_inverses", ddsim.oracle)
     inverted = _counting(monkeypatch, "inv")
     conditioned = _counting(monkeypatch, "cond")
-    res = random_similarity_search(np.array(_ROT), trials=trials, seed=1)
-    assert res.samples == trials
+
+    def batches(a):
+        """Rows of each ``_inverses`` batch of one search, as a Counter."""
+        with counted(ddsim.oracle._inverses, key=lambda args: _rows(args["batch"])) as rows:
+            res = random_similarity_search(np.array(a), trials=trials, seed=1)
+        assert res.samples == trials
+        return rows
+
     # every drawn candidate is inverted once, in its batch; the identity is
     # examined without an inverse
+    kernel = batches(_ROT)
     assert None not in kernel
-    assert sum(kernel) == trials - 1
+    assert sum(rows * count for rows, count in kernel.items()) == trials - 1
     assert max(kernel) <= ddsim.oracle._BATCH
     # a 2x2 batch is inverted in closed form, with no LAPACK call
     assert inverted == []
     # every bound of this stream is within COND_LIMIT / 2: no SVD is paid
     assert conditioned == []
     # from 3x3, each batch is one np.linalg.inv
-    kernel.clear()
-    res = random_similarity_search(np.array(_PAIR_3), trials=trials, seed=1)
-    assert res.samples == trials
-    assert sum(kernel) == trials - 1
-    assert inverted == kernel
+    kernel = batches(_PAIR_3)
+    assert sum(rows * count for rows, count in kernel.items()) == trials - 1
+    assert Counter(inverted) == kernel
 
 
 def test_search_screens_by_svd_when_a_batch_will_not_invert(monkeypatch):

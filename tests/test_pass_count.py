@@ -11,7 +11,6 @@ structure test or scaling validates ``A`` once, and only ``classify`` builds
 evidence."""
 
 import contextlib
-import importlib
 import inspect
 import os
 import sys
@@ -30,7 +29,7 @@ from ddsim import (CLUSTER_TOL, ComplexPair, EigenStructure, RealEigenvalue, Tar
 import ddsim
 import ddsim.core
 import ddsim.spectral
-from ddsim.classify import _cases, _classification
+from ddsim.classify import Finding, _cases, _classification
 from ddsim.cli import main as cli_main
 from ddsim.errors import IllConditionedJordan
 
@@ -75,32 +74,42 @@ def linalg_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def frobenius_calls(monkeypatch):
-    """Number of Frobenius norms taken through ``core._frobenius``."""
+@contextlib.contextmanager
+def _profiled(count):
+    """Run the block with ``count(frame)`` called at the entry of every
+    Python frame, through ``sys.setprofile``."""
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and count(frame))
+    try:
+        yield
+    finally:
+        sys.setprofile(previous)
+
+
+def _code(fn):
+    """The code a call of ``fn`` runs: a class's ``__init__``, numpy's
+    implementation behind its dispatcher (``_implementation``), and the
+    function behind a decorator that sets ``__wrapped__``, as
+    ``np.errstate`` does."""
+    fn = fn.__init__ if isinstance(fn, type) else fn
+    return inspect.unwrap(getattr(fn, "_implementation", fn)).__code__
+
+
+@contextlib.contextmanager
+def counted(*functions, key=None):
+    """Calls of ``functions`` made in the block, counted at the code each
+    runs, so a call through any module's name for it counts: a Counter by
+    function name or, with ``key``, by ``key(arguments)``, ``arguments``
+    being the called frame's locals on entry."""
+    names = {_code(fn): fn.__name__ for fn in functions}
     calls = Counter()
-    frobenius = ddsim.core._frobenius
 
-    def counting(x):
-        calls["frobenius"] += 1
-        return frobenius(x)
+    def count(frame):
+        if frame.f_code in names:
+            calls[names[frame.f_code] if key is None else key(frame.f_locals)] += 1
 
-    monkeypatch.setattr(ddsim.core, "_frobenius", counting)
-    return calls
-
-
-@pytest.fixture
-def square_calls(monkeypatch):
-    """Number of matrix validations through ``core._square``."""
-    calls = Counter()
-    square = ddsim.core._square
-
-    def counting(values):
-        calls["square"] += 1
-        return square(values)
-
-    monkeypatch.setattr(ddsim.core, "_square", counting)
-    return calls
+    with _profiled(count):
+        yield calls
 
 
 @pytest.fixture
@@ -138,16 +147,29 @@ def test_cli_classify_is_one_eigen_solve(tmp_path, capsys, separated8, linalg_ca
     assert linalg_calls["svd"] == 0
 
 
-# Frobenius norms per public call: the scale ``1 + ||A||_F``, plus the
-# numerator of the certificate residual when a certificate is built.
-@pytest.mark.parametrize("call, norms", [
-    (classify, 1),
-    (lambda a: build_real_dd_transform(a, Target.STRICT), 2),
-    (build_complex_dd_transform, 2),
-], ids=["classify", "build_real", "build_complex"])
-def test_one_scale_per_public_call(separated8, frobenius_calls, call, norms):
-    call(separated8)
-    assert frobenius_calls["frobenius"] == norms
+_PUBLIC_CALLS = {
+    "classify": classify,
+    "build_real": lambda a: build_real_dd_transform(a, Target.STRICT),
+    "build_complex": build_complex_dd_transform,
+}
+
+
+@pytest.mark.parametrize("name", _PUBLIC_CALLS)
+def test_one_scale_per_public_call(separated8, name):
+    with counted(ddsim.core._scale) as calls:
+        _PUBLIC_CALLS[name](separated8)
+    assert calls == {"_scale": 1}
+
+
+# Frobenius norms per public call on simple clusters (whose chains take no
+# norm): the scale ``1 + ||A||_F``, and for a build the two norms of the
+# basis bound ``kappa`` and the numerator of the certificate residual.
+@pytest.mark.parametrize("name, norms", [("classify", 1), ("build_real", 4),
+                                         ("build_complex", 4)])
+def test_frobenius_norms_per_public_call(separated8, name, norms):
+    with counted(ddsim.core._frobenius) as calls:
+        _PUBLIC_CALLS[name](separated8)
+    assert calls == {"_frobenius": norms}
 
 
 def _classify_then_build(a, cluster_tol=CLUSTER_TOL, forget_between=False):
@@ -163,11 +185,13 @@ def _classify_then_build(a, cluster_tol=CLUSTER_TOL, forget_between=False):
             build()
 
 
-def test_classify_then_both_builds_share_one_pass(separated8, linalg_calls, frobenius_calls):
-    _classify_then_build(separated8)
+def test_classify_then_both_builds_share_one_pass(separated8, linalg_calls):
+    with counted(ddsim.core._scale, ddsim.core._frobenius) as calls:
+        _classify_then_build(separated8)
     assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
-    # one scale, and the numerator of each certificate residual
-    assert frobenius_calls["frobenius"] == 1 + 2
+    # one scale, the two norms of the one basis bound, and the numerator of
+    # each certificate residual
+    assert calls == {"_scale": 1, "_frobenius": 1 + 2 + 2}
     # the basis ratio test and the singularity test of each certificate are
     # proven by the basis condition bound
     assert linalg_calls["svd"] == 0
@@ -186,24 +210,20 @@ def test_certificate_beyond_the_proven_bound_takes_its_svd(linalg_calls):
 
 @pytest.mark.parametrize("kind, length", [
     (kind, length) for kind in ("real", "pair") for length in (2, 3, 4)])
-def test_each_filtration_svd_runs_once_across_the_calls(monkeypatch, kind, length):
+def test_each_filtration_svd_runs_once_across_the_calls(kind, length):
     a = chain_matrix(np.random.default_rng(length), kind, length)
-    powers = Counter()
-    nullspace = ddsim.spectral._nullspace
 
-    def counting(m, extra_tol=0.0):
-        powers[m.tobytes()] += 1
-        return nullspace(m, extra_tol)
+    def filtration_svds(forget_between):
+        with counted(ddsim.spectral._nullspace, key=lambda args: args["m"].tobytes()) as powers:
+            _classify_then_build(a, 1e-4, forget_between)
+        return powers
 
-    monkeypatch.setattr(ddsim.spectral, "_nullspace", counting)
     # rounding splits a chain of length k by about eps**(1 / k), beyond the
     # default tolerance from k = 3 on
-    _classify_then_build(a, 1e-4, forget_between=True)
-    separate = Counter(powers)
+    separate = filtration_svds(forget_between=True)
     assert max(separate.values()) > 1
-    powers.clear()
     ddsim.spectral._forget()
-    _classify_then_build(a, 1e-4)
+    powers = filtration_svds(forget_between=False)
     assert powers.keys() == separate.keys()
     assert set(powers.values()) == {1}
 
@@ -222,11 +242,12 @@ def test_filtration_takes_no_norm_svd(linalg_calls, kind, length):
     lambda a: build_real_dd_transform(a, Target.STRICT),
     build_complex_dd_transform,
 ], ids=["build_real", "build_complex"])
-def test_builder_validates_only_its_input(separated8, square_calls, build):
+def test_builder_validates_only_its_input(separated8, build):
     # the P, J and B the builder makes are checked by the certificate
     # residual and dominance, not validated again as inputs
-    build(separated8)
-    assert square_calls["square"] == 1
+    with counted(ddsim.core._square) as calls:
+        build(separated8)
+    assert calls == {"_square": 1}
 
 
 _METZLER_HURWITZ = [[-3.0, 1.0, 0.5], [1.0, -3.0, 0.0], [0.2, 1.0, -2.0]]
@@ -237,10 +258,11 @@ _M_MATRIX = [[3.0, -1.0, -0.5], [-1.0, 3.0, 0.0], [-0.2, -1.0, 2.0]]
     is_z_matrix, is_metzler, is_hurwitz, is_m_matrix, is_h_matrix,
     metzler_hurwitz_scaling, h_matrix_scaling,
 ], ids=lambda call: call.__name__)
-def test_special_call_validates_once(square_calls, call):
+def test_special_call_validates_once(call):
     # every test passes, so each call runs its whole body
-    assert call(_M_MATRIX if call in (is_z_matrix, is_m_matrix) else _METZLER_HURWITZ)
-    assert square_calls["square"] == 1
+    with counted(ddsim.core._square) as calls:
+        assert call(_M_MATRIX if call in (is_z_matrix, is_m_matrix) else _METZLER_HURWITZ)
+    assert calls == {"_square": 1}
 
 
 #: numpy's Python-level convenience layer: the ``ndarray`` reduction methods
@@ -257,20 +279,15 @@ def _convenience_calls(run):
     frame while ``run()`` runs, by function name."""
     calls = Counter()
 
-    def profile(frame, event, arg):
+    def count(frame):
         caller = frame.f_back
-        if (event == "call" and caller is not None
-                and caller.f_globals.get("__name__", "").startswith("ddsim")
+        if (caller is not None and caller.f_globals.get("__name__", "").startswith("ddsim")
                 and (frame.f_code in _CONVENIENCE_CODES
                      or frame.f_code.co_filename.endswith(_CONVENIENCE_FILES))):
             calls[frame.f_code.co_name] += 1
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    with _profiled(count):
         run()
-    finally:
-        sys.setprofile(previous)
     return calls
 
 
@@ -295,29 +312,15 @@ def test_decision_paths_reduce_with_ufuncs_directly(separated8):
     assert _convenience_calls(run) == Counter()
 
 
-@pytest.fixture
-def finding_calls(monkeypatch):
-    """Number of evidence entries built through ``classify.Finding``."""
-    calls = Counter()
-    # the package's ``classify`` attribute is the function, not the module
-    module = importlib.import_module("ddsim.classify")
-    finding = module.Finding
-
-    def counting(*args, **kwargs):
-        calls["finding"] += 1
-        return finding(*args, **kwargs)
-
-    monkeypatch.setattr(module, "Finding", counting)
-    return calls
-
-
-def test_only_classify_builds_evidence(separated8, finding_calls):
+def test_only_classify_builds_evidence(separated8):
     # the builder reads only the verdict, so it formats no condition text
-    build_real_dd_transform(separated8, Target.STRICT)
-    assert finding_calls["finding"] == 0
-    structure = classify(separated8).structure
-    assert finding_calls["finding"] == (len(structure.real_eigs)
-                                        + len(structure.complex_pairs)) > 0
+    with counted(Finding) as calls:
+        build_real_dd_transform(separated8, Target.STRICT)
+    assert calls == {}
+    with counted(Finding) as calls:
+        structure = classify(separated8).structure
+    assert calls == {"Finding": len(structure.real_eigs) + len(structure.complex_pairs)}
+    assert calls["Finding"] > 0
 
 
 _TOL, _SCALE = 1e-9, 10.0
@@ -373,21 +376,11 @@ def test_case_table_and_evidence_give_one_verdict(names):
                build_complex_dd_transform(a)),
 ], ids=["classify", "build_real", "build_complex", "scale_jordan_to_dd",
         "classify_then_builds"])
-def test_borderline_band_is_tested_once_per_pair(monkeypatch, call):
+def test_borderline_band_is_tested_once_per_pair(call):
     # each call decides each pair's case once, and the builders read it;
-    # calls on one matrix share the case table the spectrum keeps; every
-    # module that holds the band test counts through it
-    calls = Counter()
-    is_borderline = ddsim.is_borderline
-
-    def counting(*args):
-        calls["is_borderline"] += 1
-        return is_borderline(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ddsim.") and getattr(module, "is_borderline", None) is is_borderline:
-            monkeypatch.setattr(module, "is_borderline", counting)
+    # calls on one matrix share the case table the spectrum keeps
     q = well_conditioned(np.random.default_rng(6), 6)
     a = q @ canonical_from_spectrum([-1.0, 3.0], [(-3.0, 1.0), (2.5, 0.5)]) @ np.linalg.inv(q)
-    call(a)
-    assert calls["is_borderline"] == 2
+    with counted(ddsim.is_borderline) as calls:
+        call(a)
+    assert calls == {"is_borderline": 2}

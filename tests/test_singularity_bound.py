@@ -2,36 +2,20 @@
 certificate, proven by the condition bound ``||Q||_F ||inv(Q)||_F`` where it
 reaches, and taken as an SVD everywhere else."""
 
-import importlib
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from _gen import spectrum_matrix
+from _gen import spectrum_matrix, workloads
 from ddsim import (CLUSTER_TOL, Target, build_complex_dd_transform, build_real_dd_transform,
                    real_jordan_form)
 import ddsim.core
-import ddsim.spectral
 from ddsim.core import SINGULAR_SV_RTOL, _PROVEN_COND, as_matrix
 from ddsim.errors import IllConditionedJordan, SingularInput
 from ddsim.spectral import _forget, _Spectrum
-from test_pass_count import linalg_calls  # noqa: F401 (a fixture)
+from test_pass_count import counted, linalg_calls  # noqa: F401 (a fixture)
 
 #: A separated spectrum whose basis and certificates the bound proves.
 _SEPARATED = spectrum_matrix(np.random.default_rng(7), 6)
-
-
-def _workloads():
-    """The benchmark's ``workloads`` module, whose seeded pools these tests
-    reuse; ``perfbench/`` sits beside ``tests/`` in the checkout."""
-    path = str(Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, path)
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.path.remove(path)
 
 
 @pytest.fixture(autouse=True)
@@ -39,41 +23,33 @@ def empty_slot():
     _forget()
 
 
-@pytest.fixture
-def ratio_tests(monkeypatch):
-    """Every ratio test asked for, as ``(matrix, bound)``, by both modules
-    that ask."""
-    asked = []
-    singular_ratio = ddsim.core._singular_ratio
-
-    def recording(m, cond_bound=np.inf):
-        asked.append((m.copy(), cond_bound))
-        return singular_ratio(m, cond_bound)
-
-    for module in (ddsim.core, ddsim.spectral):
-        monkeypatch.setattr(module, "_singular_ratio", recording)
-    return asked
+def _ratio_test(args):
+    """A ratio test asked for, as ``(dtype, shape, bytes of m, bound)``."""
+    m = args["m"]
+    return m.dtype.str, m.shape, m.tobytes(), args["cond_bound"]
 
 
 @pytest.mark.parametrize("pool", ["separated", "defective"])
 @pytest.mark.parametrize("seed", [1, 3, 7919])
-def test_every_skipped_test_passes_with_room(tmp_path, ratio_tests, pool, seed):
+def test_every_skipped_test_passes_with_room(tmp_path, pool, seed):
     # each op of the benchmark pool, plus the Jordan form: a test the bound
     # skips is one the SVD passes, with its ratio 1000x above the threshold
-    workloads = _workloads()
-    make, call, _ = workloads.WORKLOADS[pool]
-    for item in make(np.random.default_rng(seed), tmp_path):
-        for run in (call, lambda item: real_jordan_form(item["a"])):
-            _forget()
-            try:
-                run(item)
-            except workloads.NUMERICAL_ERRORS:
-                pass
-    skipped = [m for m, bound in ratio_tests if bound <= _PROVEN_COND]
+    pools = workloads()
+    make, call, _ = pools.WORKLOADS[pool]
+    with counted(ddsim.core._singular_ratio, key=_ratio_test) as asked:
+        for item in make(np.random.default_rng(seed), tmp_path):
+            for run in (call, lambda item: real_jordan_form(item["a"])):
+                _forget()
+                try:
+                    run(item)
+                except pools.NUMERICAL_ERRORS:
+                    pass
+    skipped = [np.frombuffer(data, dtype).reshape(shape)
+               for dtype, shape, data, bound in asked if bound <= _PROVEN_COND]
     assert skipped
     if pool == "separated":
         # every basis and certificate of a separated spectrum is proven
-        assert len(skipped) == len(ratio_tests)
+        assert len(skipped) == len(asked)
     for m in skipped:
         assert ddsim.core._singular_ratio(m) is None
         sv = np.linalg.svd(m, compute_uv=False)

@@ -156,7 +156,7 @@ def test_chains_come_longest_first_as_built(case, reverse):
     if reverse:  # the similarity by the reversal permutation
         a = a[::-1, ::-1].copy()
     (cluster,) = [c for kind in _Spectrum(a, CLUSTER_TOL).clusters for c in kind]
-    assert [len(chain) for chain in cluster.chains] == lengths
+    assert [len(chain) for chain in cluster.chains()] == lengths
     assert [b.size if isinstance(b, RealJordanBlock) else b.chain_length
             for b in real_jordan_form(a).blocks] == lengths
 
@@ -178,7 +178,7 @@ def test_first_svd_norm_moves_no_nullity():
             for cluster in clusters[0] + clusters[1]:
                 if cluster.alg_mult == 1:
                     continue
-                m, kernel, sig = cluster._first
+                m, kernel, sig = cluster.first
                 norm = np.linalg.norm(m, 2)
                 assert abs(sig - norm) <= band * norm
                 if 0 < kernel.shape[1] < cluster.alg_mult:  # the chains take m^2
