@@ -3,7 +3,6 @@ import struct
 import sys
 import tracemalloc
 import warnings
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ import ddsim.oracle
 
 from ddsim import (Axis, classify_2x2, grid_search_2x2, is_diag_dominant,
                    params_feasible, random_similarity_search, Verdict)
-from test_pass_count import counted
+from test_pass_count import _code, _profiled
 
 
 def test_grid_finds_strict_witness_for_dominant_pair():
@@ -565,8 +564,11 @@ def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
     conditioned = _counting(monkeypatch, "cond")
 
     def batches(a):
-        """Rows of each ``_inverses`` batch of one search, as a Counter."""
-        with counted(ddsim.oracle._inverses, key=lambda args: _rows(args["batch"])) as rows:
+        """Rows of each ``_inverses`` batch of one search, in call order."""
+        code = _code(ddsim.oracle._inverses)
+        rows = []
+        with _profiled(lambda frame: frame.f_code is code
+                       and rows.append(_rows(frame.f_locals["batch"]))):
             res = random_similarity_search(np.array(a), trials=trials, seed=1)
         assert res.samples == trials
         return rows
@@ -575,7 +577,7 @@ def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
     # examined without an inverse
     kernel = batches(_ROT)
     assert None not in kernel
-    assert sum(rows * count for rows, count in kernel.items()) == trials - 1
+    assert sum(kernel) == trials - 1
     assert max(kernel) <= ddsim.oracle._BATCH
     # a 2x2 batch is inverted in closed form, with no LAPACK call
     assert inverted == []
@@ -583,8 +585,8 @@ def test_search_condition_checks_only_examined_candidates(monkeypatch, trials):
     assert conditioned == []
     # from 3x3, each batch is one np.linalg.inv
     kernel = batches(_PAIR_3)
-    assert sum(rows * count for rows, count in kernel.items()) == trials - 1
-    assert Counter(inverted) == kernel
+    assert sum(kernel) == trials - 1
+    assert inverted == kernel
 
 
 def test_search_screens_by_svd_when_a_batch_will_not_invert(monkeypatch):
